@@ -3,18 +3,19 @@
 Every entry follows the same recipe: a steady base flow ``u0`` whose inertia
 image is a multiple of a rotation field, plus a complex eigenfield ``z`` of
 the inertia operator (the Hodge Laplacian on surfaces, the curl in three
-dimensions) that also diagonalises advection by ``u0``.  Writing
-``z = v + i w``, the velocity
+dimensions) that also diagonalises advection by ``u0``.  The velocity
 
-    U(t) = u0 + rho * cos(sigma + omega t) * v - rho * sin(sigma + omega t) * w
+    U(t) = u0 + Re(rho * exp(i (sigma + omega t)) * z)
 
 solves the Euler equations exactly for one specific frequency ``omega``,
 recorded per entry together with the spectral data that produced it.  The
-phase-shifted derivative
+phase-shifted wave
 
-    V(t) = rho * sin(sigma + omega t) * v + rho * cos(sigma + omega t) * w
+    V(t) = Im(rho * exp(i (sigma + omega t)) * z)
 
-solves the Euler equations linearised along ``U``.
+solves the Euler equations linearised along ``U``.  Each entry stores ``z``
+once, as the complex evaluator ``wave`` (and, on surfaces, its complex stream
+function ``psi_wave``); every real field above is derived from it.
 
 Constructors return :class:`ExactSolution`; :data:`CATALOGUE` maps the public
 entry keys onto them with their default parameters.
@@ -32,7 +33,7 @@ import numpy as np
 from . import geometry as geo
 from . import solvers
 from . import specfun as sf
-from .fields import StreamFunction, VectorField, constant_field
+from .fields import StreamFunction, VectorField, _as_points, constant_field
 
 __all__ = [
     "ConstructionError", "SpectralData", "ExactSolution", "CatalogueEntry",
@@ -102,26 +103,26 @@ def _spectral(alpha: float, zeta: int, lam: float,
 
 @dataclass
 class ExactSolution:
-    """A catalogue solution: base flow, wave pair and spectral data.
+    """A catalogue solution: base flow, complex eigenfield and spectral data.
 
-    ``wave_re`` / ``wave_im`` are the real and imaginary parts of the complex
-    eigenfield; on surfaces the matching stream functions (``psi_base``,
-    ``psi_wave_re``, ``psi_wave_im``) are carried along so vorticity-form
-    residuals can be evaluated without inverting the inertia operator.
+    ``wave(t, pts)`` evaluates the complex eigenfield ``z`` as an (N, dim)
+    complex array.  On surfaces the stream functions ``psi_base`` and
+    ``psi_wave`` (the complex stream of ``z``, shape (N,)) are carried along
+    so vorticity-form residuals can be evaluated without inverting the
+    inertia operator.  The real and imaginary parts of ``z`` are available as
+    the derived fields ``wave_re`` and ``wave_im``.
     """
 
     key: str
     params: dict
     manifold: geo.ChartedManifold
     base_flow: VectorField
-    wave_re: VectorField
-    wave_im: VectorField
+    wave: Callable[[float, np.ndarray], np.ndarray]
     spectral: SpectralData
     rho: float = 1.0
     sigma: float = 0.0
     psi_base: Optional[StreamFunction] = None
-    psi_wave_re: Optional[StreamFunction] = None
-    psi_wave_im: Optional[StreamFunction] = None
+    psi_wave: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     metadata: dict = field(default_factory=dict)
 
     # -- basic descriptors ---------------------------------------------------
@@ -144,68 +145,85 @@ class ExactSolution:
     def phase(self, t: float) -> float:
         return self.sigma + self.spectral.omega * float(t)
 
+    @property
+    def wave_re(self) -> VectorField:
+        """Real part v of the eigenfield z = v + i w."""
+        return self._part("re", np.real)
+
+    @property
+    def wave_im(self) -> VectorField:
+        """Imaginary part w of the eigenfield z = v + i w."""
+        return self._part("im", np.imag)
+
+    def _part(self, name: str, take) -> VectorField:
+        stream = None
+        if self.psi_wave is not None:
+            stream = StreamFunction(
+                2, lambda t, p: take(self.psi_wave(t, p)),
+                label=f"{self.key} wave stream ({name})")
+        return VectorField(
+            dim=self.dim, func=lambda t, p: take(self.wave(t, p)),
+            stream=stream, label=f"{self.key} wave ({name})")
+
     # -- the solution and its linearisation ----------------------------------
 
-    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
+    def _rotate(self, z, t: float, pts, base=None, linearized: bool = False,
+                dt: bool = False) -> np.ndarray:
+        """``base + Re(c * rho * e^{i phase(t)} * z(t, pts))`` with c = 1,
+        -i for the linearised wave, and an extra factor i omega for d/dt.
+
+        The coefficient pair (a, b) of the complex prefactor is built as
+        ``r * (cos, sin)`` with r = rho or rho * omega and then turned by
+        swaps and negations only, which are exact.  Summed as
+        ``base + a Re z - b Im z``, the result equals the written-out real
+        form bit for bit, which keeps report bytes stable.
+        """
         ph = self.phase(t)
-        return (self.base_flow(t, pts)
-                + (self.rho * np.cos(ph)) * self.wave_re(t, pts)
-                - (self.rho * np.sin(ph)) * self.wave_im(t, pts))
+        r = self.rho * self.spectral.omega if dt else self.rho
+        a, b = r * np.cos(ph), r * np.sin(ph)
+        if dt:
+            a, b = -b, a
+        if linearized:
+            a, b = b, -a
+        pts = _as_points(pts, self.dim)
+        zv = z(t, pts)
+        if base is None:
+            return a * zv.real - b * zv.imag
+        return base(t, pts) + a * zv.real - b * zv.imag
+
+    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
+        return self._rotate(self.wave, t, pts, base=self.base_flow)
 
     def velocity_dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        ph = self.phase(t)
-        c = self.rho * self.spectral.omega
-        return (-(c * np.sin(ph)) * self.wave_re(t, pts)
-                - (c * np.cos(ph)) * self.wave_im(t, pts))
+        return self._rotate(self.wave, t, pts, dt=True)
 
     def linearized(self, t: float, pts: np.ndarray) -> np.ndarray:
-        ph = self.phase(t)
-        return ((self.rho * np.sin(ph)) * self.wave_re(t, pts)
-                + (self.rho * np.cos(ph)) * self.wave_im(t, pts))
+        return self._rotate(self.wave, t, pts, linearized=True)
 
     def linearized_dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        ph = self.phase(t)
-        c = self.rho * self.spectral.omega
-        return ((c * np.cos(ph)) * self.wave_re(t, pts)
-                - (c * np.sin(ph)) * self.wave_im(t, pts))
+        return self._rotate(self.wave, t, pts, linearized=True, dt=True)
 
     def stream_total(self) -> Optional[StreamFunction]:
         """Stream function of the full velocity (surfaces only)."""
         if self.psi_base is None:
             return None
-
-        def func(t, pts):
-            ph = self.phase(t)
-            return (self.psi_base(t, pts)
-                    + self.rho * np.cos(ph) * self.psi_wave_re(t, pts)
-                    - self.rho * np.sin(ph) * self.psi_wave_im(t, pts))
-
-        def dt_func(t, pts):
-            ph = self.phase(t)
-            c = self.rho * self.spectral.omega
-            return (-c * np.sin(ph) * self.psi_wave_re(t, pts)
-                    - c * np.cos(ph) * self.psi_wave_im(t, pts))
-
-        return StreamFunction(dim=2, func=func, dt_func=dt_func,
-                              label=f"{self.key} stream")
+        return StreamFunction(
+            dim=2,
+            func=lambda t, p: self._rotate(self.psi_wave, t, p,
+                                           base=self.psi_base),
+            dt_func=lambda t, p: self._rotate(self.psi_wave, t, p, dt=True),
+            label=f"{self.key} stream")
 
     def stream_linearized(self) -> Optional[StreamFunction]:
-        if self.psi_wave_re is None:
+        if self.psi_wave is None:
             return None
-
-        def func(t, pts):
-            ph = self.phase(t)
-            return (self.rho * np.sin(ph) * self.psi_wave_re(t, pts)
-                    + self.rho * np.cos(ph) * self.psi_wave_im(t, pts))
-
-        def dt_func(t, pts):
-            ph = self.phase(t)
-            c = self.rho * self.spectral.omega
-            return (c * np.cos(ph) * self.psi_wave_re(t, pts)
-                    - c * np.sin(ph) * self.psi_wave_im(t, pts))
-
-        return StreamFunction(dim=2, func=func, dt_func=dt_func,
-                              label=f"{self.key} linearized stream")
+        return StreamFunction(
+            dim=2,
+            func=lambda t, p: self._rotate(self.psi_wave, t, p,
+                                           linearized=True),
+            dt_func=lambda t, p: self._rotate(self.psi_wave, t, p,
+                                              linearized=True, dt=True),
+            label=f"{self.key} linearized stream")
 
     def velocity_field(self) -> VectorField:
         return VectorField(
@@ -251,17 +269,6 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
-def _wave_pair(dim: int, zfunc: Callable[[float, np.ndarray], np.ndarray],
-               label: str,
-               streams: tuple = (None, None)) -> tuple[VectorField, VectorField]:
-    """Split a complex eigenfield evaluator into (real, imag) vector fields."""
-    v = VectorField(dim=dim, func=lambda t, p: zfunc(t, p).real,
-                    stream=streams[0], label=f"{label} (re)")
-    w = VectorField(dim=dim, func=lambda t, p: zfunc(t, p).imag,
-                    stream=streams[1], label=f"{label} (im)")
-    return v, w
-
-
 # ---------------------------------------------------------------------------
 # flat torus
 # ---------------------------------------------------------------------------
@@ -287,21 +294,19 @@ def kelvin_torus(n: int = 1, m: int = 2,
         stream=psi0, inertia_image=constant_field((0.0, 0.0)),
         label="unit shear")
 
-    def zfunc(t, pts):
-        e = np.exp(1j * (n * pts[:, 0] + m * pts[:, 1]))
-        return np.stack([1j * m * e, -1j * n * e], axis=-1)
+    def psi(t, pts):
+        return np.exp(1j * (n * pts[:, 0] + m * pts[:, 1]))
 
-    psi_v = StreamFunction(2, lambda t, p: np.cos(n * p[:, 0] + m * p[:, 1]))
-    psi_w = StreamFunction(2, lambda t, p: np.sin(n * p[:, 0] + m * p[:, 1]))
-    v, w = _wave_pair(2, zfunc, "torus wave", streams=(psi_v, psi_w))
+    def zfunc(t, pts):
+        e = psi(t, pts)
+        return np.stack([1j * m * e, -1j * n * e], axis=-1)
 
     spectral = _spectral(alpha=n * n + m * m, zeta=n, lam=0.0,
                          lam_exact=Fraction(0))
     return ExactSolution(
         key="kelvin-torus", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
-        psi_base=psi0, psi_wave_re=psi_v, psi_wave_im=psi_w,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
+        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
     )
 
 
@@ -339,19 +344,15 @@ def kelvin_disk(n: int = 1, m: int = 1,
         Jp = sf.bessel_j_prime(nu, beta * r)
         return np.stack([(1j * n / r) * J * e, -(beta / r) * Jp * e], axis=-1)
 
-    psi_v = StreamFunction(
-        2, lambda t, p: sf.bessel_j(nu, beta * p[:, 0]) * np.cos(n * p[:, 1]))
-    psi_w = StreamFunction(
-        2, lambda t, p: sf.bessel_j(nu, beta * p[:, 0]) * np.sin(n * p[:, 1]))
-    v, w = _wave_pair(2, zfunc, "disk wave", streams=(psi_v, psi_w))
+    def psi(t, pts):
+        return sf.bessel_j(nu, beta * pts[:, 0]) * np.exp(1j * n * pts[:, 1])
 
     spectral = _spectral(alpha=beta ** 2, zeta=n, lam=0.0,
                          lam_exact=Fraction(0))
     return ExactSolution(
         key="kelvin-disk", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
-        psi_base=psi0, psi_wave_re=psi_v, psi_wave_im=psi_w,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
+        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
         metadata={"beta": float(beta)},
     )
 
@@ -392,13 +393,9 @@ def rossby_sphere(n: int = 1, m: int = 2,
         e = np.exp(1j * n * th)
         return np.stack([-dP * e, (-1j * n / np.sin(phi)) * P * e], axis=-1)
 
-    def _psi(trig):
-        def f(t, p):
-            return sf.assoc_legendre(m, nu, np.cos(p[:, 1])) * trig(n * p[:, 0])
-        return StreamFunction(2, f)
-
-    psi_v, psi_w = _psi(np.cos), _psi(np.sin)
-    v, w = _wave_pair(2, zfunc, "sphere wave", streams=(psi_v, psi_w))
+    def psi(t, pts):
+        return (sf.assoc_legendre(m, nu, np.cos(pts[:, 1]))
+                * np.exp(1j * n * pts[:, 0]))
 
     spectral = _spectral(alpha=m * (m + 1), zeta=n,
                          lam=float(Fraction(2 * n, m * (m + 1))),
@@ -406,9 +403,8 @@ def rossby_sphere(n: int = 1, m: int = 2,
     return ExactSolution(
         key="rossby-sphere",
         params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
-        psi_base=psi0, psi_wave_re=psi_v, psi_wave_im=psi_w,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
+        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
     )
 
 
@@ -448,13 +444,8 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
         return np.stack([(1j * n / s) * mode.value(r) * e,
                          -(mode.derivative(r) / s) * e], axis=-1)
 
-    def _psi(trig):
-        def f(t, p):
-            return mode.value(p[:, 0]) * trig(n * p[:, 1])
-        return StreamFunction(2, f)
-
-    psi_v, psi_w = _psi(np.cos), _psi(np.sin)
-    v, w = _wave_pair(2, zfunc, "hyperbolic wave", streams=(psi_v, psi_w))
+    def psi(t, pts):
+        return mode.value(pts[:, 0]) * np.exp(1j * n * pts[:, 1])
 
     lam = -2.0 * n / E
     spectral = _spectral(alpha=E, zeta=n, lam=lam,
@@ -463,9 +454,8 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
         key="kelvin-hyperbolic",
         params={"n": n, "m": m, "r_max": float(r_max),
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
-        psi_base=psi0, psi_wave_re=psi_v, psi_wave_im=psi_w,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
+        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
         metadata={"beta": float(mode.beta),
                   "boundary-residual": float(mode.boundary_residual)},
     )
@@ -559,7 +549,6 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
     u0 = VectorField(
         3, lambda t, p: np.broadcast_to([0.0, 1.0, 1.0], (p.shape[0], 3)).copy(),
         inertia_image=constant_field((0.0, -2.0, -2.0)), label="Hopf rotation")
-    v, w = _wave_pair(3, zfunc, "3-sphere wave")
 
     lam_exact = Fraction(-2 * n, alpha)
     spectral = _spectral(alpha=alpha, zeta=n, lam=float(lam_exact),
@@ -568,7 +557,7 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
         key="rossby-s3",
         params={"j": j, "k": k, "d": d, "sign": sign,
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
         rho=float(rho), sigma=float(sigma),
         metadata={"ell": ell, "scale": scale},
     )
@@ -654,15 +643,13 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
             -(beta ** 2) * J * e,
         ], axis=-1)
 
-    v, w = _wave_pair(3, zfunc, "cylinder wave")
-
     lam = 2.0 * m / alpha
     spectral = _spectral(alpha=alpha, zeta=n, lam=lam,
                          lam_exact=Fraction(0) if m == 0 else None)
     return ExactSolution(
         key="ck-cylinder",
         params={"n": n, "m": m, "branch": branch, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
         rho=float(rho), sigma=float(sigma),
         metadata={"beta": float(beta)},
     )
@@ -721,8 +708,6 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
             (h / dph ** 2) * e,
         ], axis=-1)
 
-    v, w = _wave_pair(3, zfunc, "annulus wave")
-
     ksq = alpha ** 2 - m ** 2
     nusq = 1.0 + 2.0 * alpha * c
     meta = {
@@ -738,7 +723,7 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
         params={"m": m, "n": n, "c": c, "r_lo": float(r_lo),
                 "r_hi": float(r_hi), "branch": branch,
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave_re=v, wave_im=w, spectral=spectral,
+        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
         rho=float(rho), sigma=float(sigma), metadata=meta,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -97,12 +98,20 @@ def _build_parser() -> _Parser:
     p.add_argument("key")
     p.add_argument("--start", required=False,
                    help="comma-separated chart coordinates")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--t0", type=finite, default=0.0)
+    p.add_argument("--t1", type=finite, default=None)
+    p.add_argument("--dt", type=finite, default=None)
     p.add_argument("--out", help="write the CSV trajectory here")
 
     return parser
+
+
+def finite(text: str) -> float:
+    """Parse a float, refusing nan and +-inf (reports must be strict JSON)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _entry(key: str) -> cat.CatalogueEntry:
@@ -146,12 +155,20 @@ def _parse_times(text: Optional[str]) -> Optional[list]:
     if text is None:
         return None
     try:
-        times = [float(v) for v in text.split(",")]
+        times = [finite(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"--times expects comma-separated numbers: {text!r}")
+        raise UsageError(
+            f"--times expects comma-separated finite numbers: {text!r}")
     if not times:
         raise UsageError("--times needs at least one value")
     return times
+
+
+def _tolerance(text: str) -> float:
+    value = finite(text)
+    if value < 0.0:
+        raise ValueError(f"negative tolerance: {text!r}")
+    return value
 
 
 def _parse_tolerances(items: list, dim: int):
@@ -167,12 +184,12 @@ def _parse_tolerances(items: list, dim: int):
                     f"unknown tolerance {name!r} (known: "
                     f"{', '.join(sorted(known))})")
             try:
-                named[name] = float(value)
+                named[name] = _tolerance(value)
             except ValueError:
                 raise UsageError(f"bad tolerance value in {item!r}")
         else:
             try:
-                bare = float(item)
+                bare = _tolerance(item)
             except ValueError:
                 raise UsageError(f"bad tolerance {item!r}")
     if bare is None:
@@ -302,9 +319,9 @@ def cmd_trace(ns, params: dict) -> int:
     if ns.start is None:
         raise UsageError("trace needs --start")
     try:
-        start = [float(v) for v in ns.start.split(",")]
+        start = [finite(v) for v in ns.start.split(",")]
     except ValueError:
-        raise UsageError(f"--start expects comma-separated numbers: "
+        raise UsageError(f"--start expects comma-separated finite numbers: "
                          f"{ns.start!r}")
     try:
         sol = cat.build(ns.key, **params)

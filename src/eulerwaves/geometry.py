@@ -29,7 +29,6 @@ __all__ = [
     "ChartedManifold",
     "fd_partial",
     "field_jacobian",
-    "grad_scalar",
     "skew_gradient",
     "skew_gradient_values",
     "divergence",
@@ -220,15 +219,6 @@ def field_jacobian(M: ChartedManifold, u, t: float, pts: np.ndarray,
 # ---------------------------------------------------------------------------
 # first-order operators
 # ---------------------------------------------------------------------------
-
-
-def grad_scalar(M: ChartedManifold, f, t: float, pts: np.ndarray,
-                h_scale: float = 1.0) -> np.ndarray:
-    """Contravariant gradient g^{ij} d_j f, shape (N, dim)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = M.fd_steps(h_scale)
-    df = np.stack([fd_partial(f, t, pts, j, h[j]) for j in range(M.dim)], axis=-1)
-    return np.einsum("nij,nj->ni", M.inverse_metric(pts), df)
 
 
 def skew_gradient_values(M: ChartedManifold, f, t: float, pts: np.ndarray,

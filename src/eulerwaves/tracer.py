@@ -10,8 +10,6 @@ coordinate singularity (no multi-chart continuation).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from .catalogue import ExactSolution
 from .geometry import ChartedManifold
+from .verification import _thread_map
 
 __all__ = [
     "Trajectory", "integrate_trajectory", "integrate_many", "closure_test",
@@ -72,15 +71,21 @@ def default_step(sol: ExactSolution) -> float:
     return 1e-3 * TWO_PI / max(1.0, abs(sol.omega))
 
 
-def chart_gap(M: ChartedManifold, a, b) -> float:
-    """Max-abs coordinate difference, shortest way around periodic axes."""
+def _shortest_delta(M: ChartedManifold, a, b) -> np.ndarray:
+    """Coordinate difference a - b, the shortest way around periodic axes."""
     delta = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     for axis in range(M.dim):
         if M.periodic[axis]:
             lo, hi = M.ranges[axis]
             span = hi - lo
-            delta[axis] = (delta[axis] + span / 2.0) % span - span / 2.0
-    return float(np.max(np.abs(delta)))
+            delta[..., axis] = ((delta[..., axis] + span / 2.0) % span
+                                - span / 2.0)
+    return delta
+
+
+def chart_gap(M: ChartedManifold, a, b) -> float:
+    """Max-abs coordinate difference, shortest way around periodic axes."""
+    return float(np.max(np.abs(_shortest_delta(M, a, b))))
 
 
 def integrate_trajectory(sol: ExactSolution, x0, t0: float = 0.0,
@@ -93,9 +98,15 @@ def integrate_trajectory(sol: ExactSolution, x0, t0: float = 0.0,
     are wrapped into the fundamental chart ranges.
     """
     M = sol.manifold
-    x = M.wrap(np.asarray(x0, dtype=float).reshape(-1))
+    x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (M.dim,):
         raise ValueError(f"start point needs {M.dim} coordinates")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"start point {tuple(x)} is not finite")
+    x = M.wrap(x)
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if _classify_point(M, x) != "ok":
         raise ValueError(f"start point {tuple(x)} is outside the usable chart")
     if t1 is None:
@@ -140,16 +151,8 @@ def integrate_many(sol: ExactSolution, starts: Sequence, t0: float = 0.0,
                    t1: Optional[float] = None,
                    dt: Optional[float] = None) -> list:
     """Independent trajectories; concurrent when EULER_WAVES_THREADS > 1."""
-    raw = os.environ.get("EULER_WAVES_THREADS", "")
-    try:
-        workers = max(int(raw), 0)
-    except ValueError:
-        workers = 0
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as ex:
-            return list(ex.map(
-                lambda s: integrate_trajectory(sol, s, t0, t1, dt), starts))
-    return [integrate_trajectory(sol, s, t0, t1, dt) for s in starts]
+    return _thread_map(lambda s: integrate_trajectory(sol, s, t0, t1, dt),
+                       starts)
 
 
 def closure_test(traj: Trajectory, radius: float) -> Optional[float]:
@@ -164,12 +167,7 @@ def closure_test(traj: Trajectory, radius: float) -> Optional[float]:
         raise ValueError("trajectory carries no manifold (parsed from file?)")
     M = traj.manifold
     g0 = M.metric_at(traj.points[:1])[0]
-    delta = traj.points - traj.points[0]
-    for axis in range(M.dim):
-        if M.periodic[axis]:
-            lo, hi = M.ranges[axis]
-            span = hi - lo
-            delta[:, axis] = (delta[:, axis] + span / 2.0) % span - span / 2.0
+    delta = _shortest_delta(M, traj.points, traj.points[0])
     dist = np.sqrt(np.maximum(np.einsum("ij,ni,nj->n", g0, delta, delta),
                               0.0))
     away = np.nonzero(dist > 2.0 * radius)[0]

@@ -164,7 +164,8 @@ class ResidualReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
         return (text + "\n").encode("utf-8")
 
     def summary_lines(self) -> list:
@@ -194,20 +195,18 @@ def _norms(M: geo.ChartedManifold, pts: np.ndarray,
     return np.sqrt(np.maximum(np.einsum("nij,ni,nj->n", g, vals, vals), 0.0))
 
 
-def _thread_count() -> int:
+def _thread_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, on EULER_WAVES_THREADS threads when that
+    is set above one (unset or unparsable means serial)."""
     raw = os.environ.get("EULER_WAVES_THREADS", "")
     try:
-        return max(int(raw), 0)
+        workers = max(int(raw), 0)
     except ValueError:
-        return 0
-
-
-def _map_over_times(fn, times):
-    workers = _thread_count()
-    if workers > 1 and len(times) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(times))) as ex:
-            return list(ex.map(fn, times))
-    return [fn(t) for t in times]
+        workers = 0
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +273,10 @@ def _residual_check(M, times, tol_value, name, residual_at):
     generous multiple of eps * normalizer / h^depth the ratio is meaningless
     and is reported as null alongside the floor estimate that retired it.
     """
-    results = _map_over_times(lambda t: residual_at(t, 1.0), times)
+    results = _thread_map(lambda t: residual_at(t, 1.0), times)
     mags = np.concatenate([r[0] for r in results])
     normalizer = max(r[1] for r in results)
-    halved = _map_over_times(lambda t: residual_at(t, 0.5), times)
+    halved = _thread_map(lambda t: residual_at(t, 0.5), times)
     sup_h = float(np.max(mags)) if mags.size else 0.0
     sup_h2 = float(max(np.max(r[0]) for r in halved))
     depth = 3 if M.dim == 2 else 2

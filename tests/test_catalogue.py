@@ -6,6 +6,7 @@ the catalogue's own assembly code; spectral data is checked against exact
 rational values where they exist.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -197,7 +198,7 @@ def test_hyperbolic_wave_matches_radial_mode():
     # eigenvalue relation for the stream function under the FD Laplacian
     M = sol.manifold
     gpts = M.interior_grid((12, 12))
-    psi = sol.psi_wave_re
+    psi = sol.wave_re.stream
     lap = geo.laplace_beltrami(M, psi, 0.0, gpts)
     E = sol.spectral.alpha
     assert np.max(np.abs(lap - E * psi(0.0, gpts))) < 1e-5 * E
@@ -445,3 +446,50 @@ def test_velocity_field_algebra_roundtrip():
     assert np.allclose(doubled(0.3, pts), 2.0 * U(0.3, pts))
     summed = U + U
     assert np.allclose(summed(0.3, pts), 2.0 * U(0.3, pts))
+
+
+def test_evaluators_match_written_out_phase_rotation():
+    # U = u0 + rho cos(ph) v - rho sin(ph) w, V = rho sin(ph) v + rho cos(ph) w
+    # and their time derivatives, spelled out from the derived parts
+    # (v, w) of the one stored complex eigenfield; likewise for the streams.
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    for key in cat.catalogue_keys():
+        sol = cat.build(key, rho=0.7, sigma=0.4)
+        M = sol.manifold
+        pts = np.concatenate([
+            M.interior_grid((4,) * M.dim),
+            M.random_interior(10, np.random.default_rng(11))])
+        v, w, u0 = sol.wave_re, sol.wave_im, sol.base_flow
+        c = sol.rho * sol.omega
+        for t in (0.0, 0.7, 1.9):
+            cs, sn = np.cos(sol.phase(t)), np.sin(sol.phase(t))
+            fv, fw = v(t, pts), w(t, pts)
+            close(sol.velocity(t, pts),
+                  u0(t, pts) + sol.rho * cs * fv - sol.rho * sn * fw)
+            close(sol.velocity_dt(t, pts), -c * sn * fv - c * cs * fw)
+            close(sol.linearized(t, pts),
+                  sol.rho * sn * fv + sol.rho * cs * fw)
+            close(sol.linearized_dt(t, pts), c * cs * fv - c * sn * fw)
+            if sol.psi_wave is None:
+                assert sol.stream_total() is None
+                assert sol.stream_linearized() is None
+                continue
+            pv, pw = v.stream(t, pts), w.stream(t, pts)
+            total, lin = sol.stream_total(), sol.stream_linearized()
+            close(total(t, pts), sol.psi_base(t, pts)
+                  + sol.rho * cs * pv - sol.rho * sn * pw)
+            close(total.dt(t, pts), -c * sn * pv - c * cs * pw)
+            close(lin(t, pts), sol.rho * sn * pv + sol.rho * cs * pw)
+            close(lin.dt(t, pts), c * cs * pv - c * sn * pw)
+
+        calls = []
+
+        def counting(t, p, wave=sol.wave):
+            calls.append(t)
+            return wave(t, p)
+
+        replace(sol, wave=counting).velocity(0.7, pts)
+        assert calls == [0.7], key

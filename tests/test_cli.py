@@ -103,6 +103,20 @@ def test_verify_impossible_tolerance_exits_1(tmp_path):
     assert doc["all-pass"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ["--times", "nan"], ["--times", "0,inf"], ["--tol", "nan"],
+    ["--tol=-1"], ["--tol", "euler-residual=nan"],
+    ["--tol", "euler-residual=-1e-5"],
+])
+def test_verify_non_finite_or_negative_inputs_are_usage_errors(tmp_path,
+                                                              flags):
+    out = tmp_path / "r.json"
+    code = run_cli("verify", "kelvin-torus", "--grid", "10,10", *flags,
+                   "--out", str(out))
+    assert code == 64
+    assert not out.exists()
+
+
 def test_verify_unknown_parameter_is_usage_error(capsys):
     assert run_cli("verify", "kelvin-torus", "--q", "3") == 64
 
@@ -237,6 +251,17 @@ def test_trace_malformed_start_is_usage_error(capsys):
     assert run_cli("trace", "kelvin-disk", "--start", "0.5", "--t1", "1") == 64
     assert run_cli("trace", "kelvin-disk", "--start", "x,y", "--t1", "1") == 64
     assert run_cli("trace", "kelvin-disk", "--t1", "1") == 64
+    assert run_cli("trace", "kelvin-torus", "--start", "nan,1") == 64
+
+
+@pytest.mark.parametrize("flag", ["--t0", "--t1", "--dt"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_trace_non_finite_times_are_usage_errors(tmp_path, flag, value):
+    out = tmp_path / "orbit.csv"
+    code = run_cli("trace", "kelvin-disk", "--start", "0.5,0", flag, value,
+                   "--out", str(out))
+    assert code == 64
+    assert not out.exists()
 
 
 def test_annulus_interval_aliases(tmp_path):

@@ -25,7 +25,7 @@ def _synthetic(manifold, components):
     u0 = fields.constant_field(components)
     return ExactSolution(
         key="synthetic", params={}, manifold=manifold, base_flow=u0,
-        wave_re=_zero_field(manifold.dim), wave_im=_zero_field(manifold.dim),
+        wave=_zero_field(manifold.dim),
         spectral=SpectralData(alpha=1.0, zeta=0.0, lam=0.0, omega=0.0,
                               lam_exact=None, omega_exact=None,
                               classification="stationary"),
@@ -169,6 +169,18 @@ def test_invalid_start_rejected():
         tr.integrate_trajectory(sol, (0.5, 0.0), 0.0, 1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         tr.integrate_trajectory(sol, (0.5, 0.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"x0": (math.nan, 0.0)}, {"x0": (0.5, math.inf)},
+    {"t0": math.nan}, {"t1": math.nan}, {"t1": math.inf},
+    {"dt": math.nan}, {"dt": math.inf},
+])
+def test_non_finite_inputs_rejected(kwargs):
+    sol = cat.kelvin_disk(n=1, m=1)
+    args = {"x0": (0.5, 0.0), "t0": 0.0, "t1": 1.0, "dt": 1e-2, **kwargs}
+    with pytest.raises(ValueError, match="finite"):
+        tr.integrate_trajectory(sol, **args)
 
 
 def test_samples_stay_wrapped():

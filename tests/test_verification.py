@@ -7,6 +7,7 @@ tolerances).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,14 @@ def test_report_json_roundtrip_and_determinism():
     assert all(set(c) == {"name", "sup", "mean", "normalizer", "tol", "pass"}
                for c in doc["checks"])
     assert doc["all-pass"] is True
+
+
+def test_report_bytes_are_strict_json():
+    rep = ver.ResidualReport(
+        solution="kelvin-torus", params={}, grid=(2, 2), times=[math.nan],
+        seed=0, tolerances={}, checks=[])
+    with pytest.raises(ValueError):
+        rep.to_json_bytes()
 
 
 def test_tolerance_overrides():
