@@ -427,7 +427,10 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     if m < 1:
         raise ConstructionError("kelvin-hyperbolic needs a radial index m >= 1")
     nu = abs(n)
-    mode = sf.hyperbolic_radial_mode(nu, m, r_max=float(r_max))
+    try:
+        mode = sf.hyperbolic_radial_mode(nu, m, r_max=float(r_max))
+    except solvers.SolverError as exc:
+        raise ConstructionError(str(exc)) from exc
     E = mode.eigenvalue
     M = geo.hyperbolic_disk(r_max=float(r_max))
 

@@ -1,31 +1,51 @@
-"""Shared 1D root-location helpers: sign-change scans and bisection."""
+"""The shared mode-solver pipeline: a lazy sign-change scan, bisection, and
+the ODE options and Chebyshev fit of the two shooting solvers.
+
+Callers look ``scan_brackets``, ``bisect_root`` and ``solve_ivp`` up in their
+own module namespace, so a tracer that wraps those names there (as
+``benchmarks/layers.py`` does) sees every step.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
-__all__ = ["scan_brackets", "bisect_root", "newton_polish"]
+__all__ = ["SolverError", "scan_brackets", "bisect_root", "newton_polish",
+           "fit_dense"]
+
+_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
+_CHEB_NODES = 201
 
 
-def scan_brackets(f, lo: float, hi: float, n: int):
-    """Sample f on a uniform grid and return sign-change brackets in order.
+class SolverError(RuntimeError):
+    """A dispersion scan or shooting iteration failed to locate a root."""
 
-    Non-finite samples are skipped (useful near coordinate singularities of
-    dispersion functions).
+
+def scan_brackets(f, lo: float, hi: float, n: int, k: int = 1) -> tuple:
+    """The k-th sign-change bracket (a, b) of f on np.linspace(lo, hi, n),
+    as Python floats.
+
+    Samples in order and stops at that bracket; raises SolverError when the
+    grid holds fewer than k.  Non-finite samples are skipped (useful near
+    coordinate singularities of dispersion functions).
     """
-    xs = np.linspace(lo, hi, n)
-    brackets = []
-    x_prev = None
-    f_prev = None
-    for x in xs:
+    found = 0
+    x_prev = f_prev = None
+    for x in np.linspace(lo, hi, n):
         val = f(x)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             x_prev, f_prev = None, None
             continue
         if f_prev is not None and np.sign(val) != np.sign(f_prev):
-            brackets.append((x_prev, x))
+            found += 1
+            if found == k:
+                return float(x_prev), float(x)
         x_prev, f_prev = x, val
-    return brackets
+    raise SolverError(f"only {found} sign changes on [{lo:g}, {hi:g}], "
+                      f"need {k}")
 
 
 def bisect_root(f, a: float, b: float, xtol: float = 1e-13,
@@ -61,3 +81,12 @@ def newton_polish(f, df, x0: float, steps: int = 3) -> float:
             break
         x = x_new
     return x
+
+
+def fit_dense(dense, a: float, b: float) -> list:
+    """Chebyshev interpolants on [a, b] of each component of a dense ODE
+    solution, through the 201 Chebyshev-Lobatto nodes."""
+    nodes = a + (b - a) * 0.5 * (1.0 - np.cos(
+        np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1)))
+    return [cheb.Chebyshev.fit(nodes, vals, deg=_CHEB_NODES - 1, domain=[a, b])
+            for vals in dense(nodes)]

@@ -15,6 +15,7 @@ the curl eigenvalue alpha until the wall condition holds at both ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,7 +24,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import solve_ivp
 
-from .rootfind import bisect_root, scan_brackets
+from .rootfind import _IVP_OPTS, SolverError, bisect_root, fit_dense, \
+    scan_brackets
 from .specfun import bessel_j, bessel_j_prime, bessel_y
 
 __all__ = [
@@ -34,14 +36,6 @@ __all__ = [
     "CMetricMode",
     "solve_cmetric_mode",
 ]
-
-_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-_CHEB_NODES = 201
-
-
-class SolverError(RuntimeError):
-    """A dispersion scan or shooting iteration failed to locate a root."""
-
 
 def ck_dispersion_root(n: int, m: int, branch: int = 1,
                        beta_max: float = 80.0) -> tuple:
@@ -61,11 +55,7 @@ def ck_dispersion_root(n: int, m: int, branch: int = 1,
         return (m * beta * bessel_j_prime(n, beta)
                 + n * alpha * bessel_j(n, beta))
 
-    brackets = scan_brackets(D, 0.05, beta_max, 1600)
-    if len(brackets) < branch:
-        raise SolverError(
-            f"only {len(brackets)} dispersion roots below beta={beta_max}")
-    beta = bisect_root(D, *brackets[branch - 1])
+    beta = bisect_root(D, *scan_brackets(D, 0.05, beta_max, 1600, branch))
     return float(beta), float(math.sqrt(beta * beta + m * m))
 
 
@@ -86,10 +76,8 @@ def crossproduct_root(nu: float, a: float, b: float, branch: int = 1,
                 - bessel_j(nu, k * b) * bessel_y(nu, k * a))
 
     lo = 1e-3 / (b - a)
-    brackets = scan_brackets(f, lo, k_max, max(2000, 200 * branch))
-    if len(brackets) < branch:
-        raise SolverError(f"only {len(brackets)} cross-product roots below {k_max}")
-    return float(bisect_root(f, *brackets[branch - 1]))
+    return float(bisect_root(
+        f, *scan_brackets(f, lo, k_max, max(2000, 200 * branch), branch)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +91,8 @@ class CMetricProfile:
 
         g = diag-ish [1; phi^2, c; c, c^2/phi^2 + phi'^2]
 
-    phi and dphi must accept numpy arrays.  `linear` gives phi(r) = r.
+    phi and dphi must accept numpy arrays.  `linear` gives phi(r) = r, one
+    instance per (c, r_lo, r_hi), so the modes solved on it stay cached.
     """
 
     phi: Callable
@@ -114,6 +103,7 @@ class CMetricProfile:
     label: str = "c-metric"
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def linear(cls, c: float, r_lo: float, r_hi: float) -> "CMetricProfile":
         return cls(phi=lambda r: np.asarray(r, dtype=float),
                    dphi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
@@ -202,51 +192,33 @@ def _cmetric_wall_mismatch(profile: CMetricProfile, n: int, m: int,
     return n * h_b - mu_b * g_b
 
 
-_CMODE_CACHE: dict = {}
-
-
 def solve_cmetric_mode(profile: CMetricProfile, n: int, m: int,
                        branch: int = 1, alpha_range: tuple = (0.1, 30.0),
                        resolution: int = 400) -> CMetricMode:
     """Locate the branch-th positive curl eigenvalue alpha and its mode.
 
-    Scans the wall-mismatch functional over alpha_range, bisects the chosen
-    sign change, then integrates once more and stores Chebyshev proxies of
-    (g, h) for smooth downstream evaluation.
+    Scans the wall-mismatch functional over alpha_range up to the chosen
+    sign change, bisects it, then integrates once more and stores Chebyshev
+    proxies of (g, h) for smooth downstream evaluation.  Modes are cached
+    per argument set.
     """
     n, m, branch = int(n), int(m), int(branch)
     if n == 0 and m == 0:
         raise ValueError("mode numbers (n, m) = (0, 0) carry no wave")
     if branch < 1:
         raise ValueError("branch index must be >= 1")
-    cache_key = None
-    if profile.label.startswith("linear"):
-        cache_key = (profile.label, profile.c, profile.r_lo, profile.r_hi,
-                     n, m, branch, alpha_range, resolution)
-        if cache_key in _CMODE_CACHE:
-            return _CMODE_CACHE[cache_key]
+    return _cmetric_mode(profile, n, m, branch, tuple(alpha_range),
+                         int(resolution))
 
+
+@functools.lru_cache(maxsize=None)
+def _cmetric_mode(profile, n, m, branch, alpha_range, resolution):
     F = lambda alpha: _cmetric_wall_mismatch(profile, n, m, alpha)
-    brackets = scan_brackets(F, alpha_range[0], alpha_range[1], resolution)
-    if len(brackets) < branch:
-        raise SolverError(
-            f"only {len(brackets)} eigenvalues in alpha range {alpha_range}")
-    alpha = bisect_root(F, *brackets[branch - 1])
-
+    alpha = bisect_root(F, *scan_brackets(F, *alpha_range, resolution, branch))
     sol = _cmetric_shoot(profile, n, m, alpha, dense=True)
-    a, b = profile.r_lo, profile.r_hi
-    nodes = a + (b - a) * 0.5 * (1.0 - np.cos(
-        np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1)))
-    vals = sol.sol(nodes)
-    g_proxy = cheb.Chebyshev.fit(nodes, vals[0], deg=_CHEB_NODES - 1,
-                                 domain=[a, b])
-    h_proxy = cheb.Chebyshev.fit(nodes, vals[1], deg=_CHEB_NODES - 1,
-                                 domain=[a, b])
-    mode = CMetricMode(
+    g_proxy, h_proxy = fit_dense(sol.sol, profile.r_lo, profile.r_hi)
+    return CMetricMode(
         profile=profile, n=n, m=m, branch=branch, alpha=float(alpha),
         boundary_residual=float(F(alpha)),
         _g=g_proxy, _h=h_proxy, _dg=g_proxy.deriv(), _dh=h_proxy.deriv(),
     )
-    if cache_key is not None:
-        _CMODE_CACHE[cache_key] = mode
-    return mode

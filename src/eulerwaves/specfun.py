@@ -7,6 +7,7 @@ and the hyperbolic-disk radial eigenmodes are implemented here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import solve_ivp
 from scipy.special import jv, jvp, yv, yvp
 
-from .rootfind import bisect_root, newton_polish, scan_brackets
+from .rootfind import _IVP_OPTS, bisect_root, fit_dense, newton_polish, \
+    scan_brackets
 
 __all__ = [
     "bessel_j",
@@ -67,8 +69,9 @@ def _mcmahon_zero(nu: float, k: int) -> float:
 def bessel_j_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu (nu >= 0, k >= 1).
 
-    Marching sign scan (step well below the minimal zero spacing), bisection
-    to 1e-13 relative width, then a short Newton polish with J_nu'.
+    Sign scan in steps of 0.5 (well below the minimal zero spacing) up to 50
+    past McMahon's estimate, bisection to 1e-13 relative width, then a short
+    Newton polish with J_nu'.
     """
     nu = float(nu)
     if nu < 0:
@@ -77,20 +80,10 @@ def bessel_j_zero(nu: float, k: int) -> float:
         raise ValueError("bessel_j_zero needs k >= 1")
     f = lambda x: jv(nu, x)
     hi_guess = _mcmahon_zero(nu, k) + 10.0
-    x = max(nu, 0.25)
-    step = 0.5
-    prev = f(x)
-    found = 0
-    while x < hi_guess + 50.0:
-        x2 = x + step
-        cur = f(x2)
-        if np.sign(cur) != np.sign(prev):
-            found += 1
-            if found == k:
-                root = bisect_root(f, x, x2)
-                return newton_polish(f, lambda t: jvp(nu, t), root)
-        x, prev = x2, cur
-    raise RuntimeError(f"bessel_j_zero scan failed for nu={nu}, k={k}")
+    x0 = max(nu, 0.25)
+    steps = math.ceil((hi_guess + 50.0 - x0) / 0.5)
+    root = bisect_root(f, *scan_brackets(f, x0, x0 + 0.5 * steps, steps + 1, k))
+    return newton_polish(f, lambda t: jvp(nu, t), root)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +162,7 @@ def jacobi_poly_deriv(d: int, a: int, b: int, x):
 # hyperbolic-disk radial eigenmodes
 # ---------------------------------------------------------------------------
 
-_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
 _SERIES_START = 1e-4
-_CHEB_NODES = 201
 
 
 @dataclass
@@ -237,47 +228,35 @@ def _shoot_endpoint(beta: float, n: int, r_max: float) -> float:
     return sol.y[0, -1]
 
 
-_MODE_CACHE: dict = {}
-_SCAN_CACHE: dict = {}
-
-
 def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0,
                            beta_max: float = 40.0) -> RadialMode:
     """m-th Dirichlet radial mode of order n on the hyperbolic disk.
 
     Shooting on beta: integrate from a Frobenius start r^n (1 + a2 r^2) at
-    r = 1e-4, scan the endpoint value for sign changes, bisect the m-th
-    bracket, then store the converged profile as a Chebyshev interpolant.
+    r = 1e-4, scan the endpoint value up to its m-th sign change on
+    (0.05, beta_max), bisect that bracket, then store the converged profile
+    as a Chebyshev interpolant.  Modes are cached per argument set.
     """
     n, m = int(n), int(m)
     if n < 0:
         raise ValueError("radial order n must be >= 0 (pass |n|)")
     if m < 1:
         raise ValueError("mode index m must be >= 1")
-    key = (n, m, float(r_max))
-    if key in _MODE_CACHE:
-        return _MODE_CACHE[key]
+    return _radial_mode(n, m, float(r_max), float(beta_max))
 
+
+@functools.lru_cache(maxsize=None)
+def _radial_mode(n, m, r_max, beta_max):
     endpoint = lambda beta: _shoot_endpoint(beta, n, r_max)
-    scan_key = (n, float(r_max), float(beta_max))
-    if scan_key not in _SCAN_CACHE:
-        _SCAN_CACHE[scan_key] = scan_brackets(endpoint, 0.05, beta_max, 400)
-    brackets = _SCAN_CACHE[scan_key]
-    if len(brackets) < m:
-        raise RuntimeError(
-            f"found only {len(brackets)} radial modes below beta={beta_max}")
-    beta = bisect_root(endpoint, *brackets[m - 1])
+    beta = bisect_root(endpoint,
+                       *scan_brackets(endpoint, 0.05, beta_max, 400, m))
     E = 0.25 + beta * beta
 
     r0 = _SERIES_START
     sol = solve_ivp(_hyperbolic_rhs(E, n), (r0, r_max),
                     _hyperbolic_initial(E, n, r0), dense_output=True,
                     **_IVP_OPTS)
-    nodes = r0 + (r_max - r0) * 0.5 * (1.0 - np.cos(
-        np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1)))
-    vals = sol.sol(nodes)[0]
-    raw = cheb.Chebyshev.fit(nodes, vals, deg=_CHEB_NODES - 1,
-                             domain=[r0, r_max])
+    raw = fit_dense(sol.sol, r0, r_max)[0]
     # normalize to sup |R| = 1: dense grid argmax, then Newton on R' = 0
     draw, d2raw = raw.deriv(), raw.deriv(2)
     dense = np.linspace(r0, r_max, 4001)
@@ -293,10 +272,8 @@ def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0,
         r_star = r_new
     scale = 1.0 / max(np.max(np.abs(raw(dense))), abs(raw(r_star)))
     proxy = scale * raw
-    mode = RadialMode(
+    return RadialMode(
         order=n, index=m, beta=float(beta), eigenvalue=float(E),
-        r_max=float(r_max), boundary_residual=float(scale * sol.y[0, -1]),
+        r_max=r_max, boundary_residual=float(scale * sol.y[0, -1]),
         _proxy=proxy, _dproxy=proxy.deriv(), _series_scale=float(scale),
     )
-    _MODE_CACHE[key] = mode
-    return mode

@@ -202,9 +202,10 @@ def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
 def read_trajectory_csv(path) -> Trajectory:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+    first = lines[0] if lines else ""
+    header = first.split(",")
     if header[0] != "t":
-        raise ValueError(f"unexpected trajectory header: {lines[0]!r}")
+        raise ValueError(f"{path}: unexpected trajectory header: {first!r}")
     coords = tuple(header[1:])
     status = STATUS_COMPLETED
     rows = []
@@ -214,6 +215,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 status = ln.split("status=", 1)[1].strip()
             continue
         rows.append([float(v) for v in ln.split(",")])
+    if not rows:
+        raise ValueError(f"{path}: no trajectory rows")
     data = np.asarray(rows, dtype=float)
     times, points = data[:, 0], data[:, 1:]
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0

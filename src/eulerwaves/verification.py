@@ -72,10 +72,14 @@ def default_tolerances(dim: int) -> dict:
 
 def _resolve_tol(tol, name: str, dim: int) -> float:
     if isinstance(tol, dict):
-        return float(tol.get(name, default_tolerances(dim)[name]))
+        tol = tol.get(name)
     if tol is None:
         return default_tolerances(dim)[name]
-    return float(tol)
+    value = float(tol)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"tolerance for {name!r} must be finite and >= 0, "
+                         f"got {tol!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +695,8 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     M = sol.manifold
     grid = tuple(grid) if grid is not None else default_grid(M.dim)
     times = list(times) if times is not None else default_times(sol.omega)
+    for name in default_tolerances(M.dim):  # reject a bad tolerance up front
+        _resolve_tol(tolerances, name, M.dim)
     start = time.perf_counter()
 
     eigen = check_eigen_relations(sol, grid=grid, tol=tolerances, seed=seed)

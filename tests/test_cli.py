@@ -132,6 +132,14 @@ def test_verify_degenerate_construction_exits_2(capsys):
     assert "eigenfield" in capsys.readouterr().err.lower()
 
 
+def test_verify_missing_radial_mode_exits_2(capsys):
+    # only 12 hyperbolic radial modes of order 1 lie below the scan's beta = 40
+    code = run_cli("verify", "kelvin-hyperbolic", "--m", "13", "--grid", "6,6",
+                   "--times", "0.7")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("construction failed: ")
+
+
 def test_verify_text_format(capsys):
     code = run_cli("verify", "kelvin-torus", "--grid", "10,10",
                    "--times", "0,0.7", "--format", "text")

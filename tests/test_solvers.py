@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 import mpmath as mp
 
+from eulerwaves import catalogue as cat
+from eulerwaves import rootfind
 from eulerwaves import solvers as sv
 from eulerwaves import specfun as sf
-from eulerwaves.rootfind import bisect_root, scan_brackets
+from eulerwaves.rootfind import SolverError, bisect_root, scan_brackets
 
 mp.mp.dps = 25
 
@@ -25,16 +27,75 @@ B0 = 2 * np.pi
 
 
 def test_scan_brackets_locates_sine_roots():
-    br = scan_brackets(np.sin, 0.1, 10.0, 400)
-    roots = [bisect_root(np.sin, a, b) for a, b in br]
+    roots = [bisect_root(np.sin, *scan_brackets(np.sin, 0.1, 10.0, 400, k=k))
+             for k in (1, 2, 3)]
     assert np.allclose(roots, [np.pi, 2 * np.pi, 3 * np.pi], atol=1e-12)
+    with pytest.raises(SolverError):
+        scan_brackets(np.sin, 0.1, 10.0, 400, k=4)
 
 
 def test_scan_brackets_skips_nonfinite():
     f = lambda x: np.nan if 0.9 < x < 1.1 else np.cos(x)
-    br = scan_brackets(f, 0.0, 4.0, 400)
-    assert len(br) == 1
-    assert abs(bisect_root(f, *br[0]) - np.pi / 2) < 1e-10
+    br = scan_brackets(f, 0.0, 4.0, 400, k=1)
+    with pytest.raises(SolverError):
+        scan_brackets(f, 0.0, 4.0, 400, k=2)
+    assert abs(bisect_root(f, *br) - np.pi / 2) < 1e-10
+
+
+def _all_brackets(f, lo, hi, n):
+    """Every sign-change bracket of f on the grid, by an eager full scan."""
+    brackets, x_prev, f_prev = [], None, None
+    for x in np.linspace(lo, hi, n):
+        val = f(x)
+        if not np.isfinite(val):
+            x_prev, f_prev = None, None
+            continue
+        if f_prev is not None and np.sign(val) != np.sign(f_prev):
+            brackets.append((x_prev, x))
+        x_prev, f_prev = x, val
+    return brackets
+
+
+def test_scan_brackets_kth_matches_full_scan():
+    cases = [(np.sin, 0.1, 10.0, 400),
+             (lambda x: np.nan if 2.0 < x < 4.0 else np.cos(3 * x),
+              0.0, 9.0, 300),
+             (lambda x: np.tan(x) - 1.0, -4.0, 7.0, 555),
+             (lambda x: np.sign(x - 0.5), 0.0, 1.0, 11)]
+    for f, lo, hi, n in cases:
+        full = _all_brackets(f, lo, hi, n)
+        assert len(full) >= 2
+        for k, bracket in enumerate(full, start=1):
+            assert scan_brackets(f, lo, hi, n, k) == bracket
+        with pytest.raises(SolverError):
+            scan_brackets(f, lo, hi, n, len(full) + 1)
+
+
+def test_scan_brackets_stops_at_kth_bracket():
+    xs = np.linspace(0.1, 10.0, 400)
+    signs = np.sign(np.sin(xs))
+    ends = np.nonzero(signs[1:] != signs[:-1])[0] + 1
+    for k, end in enumerate(ends, start=1):
+        calls = []
+        f = lambda x: calls.append(x) or np.sin(x)
+        assert scan_brackets(f, 0.1, 10.0, 400, k) == (xs[end - 1], xs[end])
+        assert len(calls) == end + 1
+
+
+def test_default_shooting_builds_scan_at_most_40_points(monkeypatch):
+    evals = []
+
+    def counting_scan(f, *args):
+        return rootfind.scan_brackets(lambda x: evals.append(x) or f(x), *args)
+
+    monkeypatch.setattr(sv, "scan_brackets", counting_scan)
+    monkeypatch.setattr(sf, "scan_brackets", counting_scan)
+    for key, cache in (("twisted-annulus", sv._cmetric_mode),
+                       ("kelvin-hyperbolic", sf._radial_mode)):
+        cache.cache_clear()
+        evals.clear()
+        cat.build(key)
+        assert 0 < len(evals) <= 40, key
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 from scipy.special import lpmv
 
 from eulerwaves import specfun as sf
+from eulerwaves.rootfind import SolverError
 
 mp.mp.dps = 30
 
@@ -354,3 +355,9 @@ def test_hyperbolic_radial_mode_rejects_bad_input():
         sf.hyperbolic_radial_mode(0, 0)
     with pytest.raises(ValueError):
         sf.hyperbolic_radial_mode(-1, 1)
+
+
+def test_hyperbolic_radial_mode_cache_key_covers_beta_max():
+    sf.hyperbolic_radial_mode(1, 1)
+    with pytest.raises(SolverError):
+        sf.hyperbolic_radial_mode(1, 1, beta_max=2.0)

@@ -239,6 +239,15 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.points, traj.points)
 
 
+def test_read_trajectory_csv_without_rows_names_the_file(tmp_path):
+    for name, text in (("header-only.csv", "t,r,theta\n# status=completed\n"),
+                       ("empty.csv", "")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=name):
+            tr.read_trajectory_csv(path)
+
+
 def test_samples_property():
     sol = cat.kelvin_disk(n=1, m=1)
     traj = tr.integrate_trajectory(sol, (0.5, 0.7), 0.0, 0.2, dt=0.1)

@@ -270,6 +270,17 @@ def test_report_bytes_are_strict_json():
         rep.to_json_bytes()
 
 
+def test_non_finite_or_negative_tolerances_rejected():
+    sol = cat.kelvin_torus()
+    for bad in (math.nan, math.inf, -1.0):
+        for tolerances in (bad, {"stationarity": bad}):
+            with pytest.raises(ValueError):
+                ver.run_verification(sol, grid=(8, 8), times=[0.7],
+                                     tolerances=tolerances)
+        with pytest.raises(ValueError):
+            ver.euler_residual(sol, grid=(8, 8), times=[0.7], tol=bad)
+
+
 def test_tolerance_overrides():
     sol = cat.kelvin_torus(n=1, m=2)
     rep = ver.run_verification(sol, tolerances={"euler-residual": 1e-15})
