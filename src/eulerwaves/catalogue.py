@@ -791,6 +791,9 @@ def catalogue_keys() -> list[str]:
 
 def build(key: str, **params) -> ExactSolution:
     """Construct a catalogue entry by key, validating parameter names."""
+    if key not in CATALOGUE:
+        raise KeyError(f"unknown catalogue key {key!r} "
+                       f"(known: {', '.join(catalogue_keys())})")
     entry = CATALOGUE[key]
     unknown = set(params) - set(entry.defaults)
     if unknown:

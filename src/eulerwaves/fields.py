@@ -9,7 +9,7 @@ cross periodic seams safely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,25 +121,6 @@ class VectorField:
             dt_func=lambda t, p: c * a.dt(t, p),
             stream=stream,
             label=f"{c}*{a.label}",
-        )
-
-    def freeze(self, t0: float) -> "VectorField":
-        """Time-frozen snapshot u(t0, .) as an autonomous field."""
-        a = self
-        t0 = float(t0)
-        stream = None
-        if a.stream is not None:
-            stream = StreamFunction(
-                dim=a.dim,
-                func=lambda t, p, s=a.stream: s.func(t0, p),
-                label=f"{a.stream.label}@{t0}",
-            )
-        return replace(
-            a,
-            func=lambda t, p: a.func(t0, p),
-            dt_func=lambda t, p: np.zeros_like(np.asarray(p, dtype=float)),
-            stream=stream,
-            label=f"{a.label}@{t0}",
         )
 
 

@@ -18,7 +18,7 @@ so that eigenvalues on compact domains are positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -31,11 +31,11 @@ __all__ = [
     "field_jacobian",
     "skew_gradient",
     "skew_gradient_values",
+    "divergence_terms",
     "divergence",
     "curl3",
     "laplace_beltrami",
     "lie_bracket",
-    "cross_product",
     "poisson_bracket",
     "inertia_operator",
     "inner_product_quadrature",
@@ -60,6 +60,9 @@ FD_STEP_FRACTION = 1e-2
 # Nested stencils (outer first derivative of an inner derivative) reach 4 h
 # from the evaluation point; 6 leaves slack.
 STENCIL_PAD_STEPS = 6.0
+
+STATUS_EXITED = "exited-domain"
+STATUS_SINGULAR = "hit-singular-margin"
 
 GAUSS_POINTS = 32
 PERIODIC_QUAD_POINTS = {2: 64, 3: 32}
@@ -97,6 +100,17 @@ class ChartedManifold:
         if not self.singular_upper:
             object.__setattr__(self, "singular_upper", (False,) * self.dim)
         object.__setattr__(self, "_quad_cache", {})
+        # Usable closed box on the bounded (non-periodic) axes: the chart
+        # ranges less the singular margins, as (axes, lower, upper ends).
+        axes, lo_ok, hi_ok = [], [], []
+        for axis, (lo, hi) in enumerate(self.ranges):
+            if not self.periodic[axis]:
+                m = self.singular_margin * (hi - lo)
+                axes.append(axis)
+                lo_ok.append(lo + m if self.singular_lower[axis] else lo)
+                hi_ok.append(hi - m if self.singular_upper[axis] else hi)
+        object.__setattr__(self, "_usable_box",
+                           (axes, np.array(lo_ok), np.array(hi_ok)))
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -149,23 +163,32 @@ class ChartedManifold:
                 out[:, axis] = lo + np.mod(out[:, axis] - lo, hi - lo)
         return out[0] if single else out
 
-    def in_domain(self, point: np.ndarray, margin: Optional[float] = None) -> bool:
-        """True when `point` (wrapped) is inside the chart, away from
-        singular ends by `margin` (fraction of the span, defaults to the
-        manifold's singular_margin)."""
-        frac = self.singular_margin if margin is None else margin
-        p = self.wrap(np.asarray(point, dtype=float))
-        for axis in range(self.dim):
-            if self.periodic[axis]:
-                continue
-            lo, hi = self.ranges[axis]
-            span = hi - lo
-            lo_ok = lo + frac * span if self.singular_lower[axis] else lo
-            hi_ok = hi - frac * span if self.singular_upper[axis] else hi
-            x = p[axis]
-            if not (lo_ok <= x <= hi_ok):
-                return False
-        return True
+    def halt_verdicts(self, pts: np.ndarray) -> dict:
+        """The rows of wrapped points (N, dim) that left the usable chart,
+        as {row: STATUS_SINGULAR or STATUS_EXITED}; every other row is
+        inside the chart and clear of the singular margins.  The first
+        failing axis decides, and on it the singular margin comes before
+        the range; periodic axes never halt."""
+        axes, lo_ok, hi_ok = self._usable_box
+        if not axes:
+            return {}
+        x = pts[:, axes]
+        inside = (x >= lo_ok) & (x <= hi_ok)
+        if inside.all():
+            return {}
+        halts = {}
+        for row in np.flatnonzero(~inside.all(axis=1)):
+            for j, axis in enumerate(axes):
+                lo, hi = self.ranges[axis]
+                v = x[row, j]
+                if ((self.singular_lower[axis] and v < lo_ok[j])
+                        or (self.singular_upper[axis] and v > hi_ok[j])):
+                    halts[int(row)] = STATUS_SINGULAR
+                    break
+                if not lo <= v <= hi:
+                    halts[int(row)] = STATUS_EXITED
+                    break
+        return halts
 
     # -- metric helpers ----------------------------------------------------
 
@@ -253,21 +276,26 @@ def skew_gradient(M: ChartedManifold, psi: StreamFunction,
                        label=f"skew_grad({psi.label})")
 
 
-def divergence(M: ChartedManifold, u, t: float, pts: np.ndarray,
-               h_scale: float = 1.0) -> np.ndarray:
-    """(1/sqrt(g)) d_i ( sqrt(g) u^i )."""
+def divergence_terms(M: ChartedManifold, u, t: float, pts: np.ndarray,
+                     h_scale: float = 1.0) -> np.ndarray:
+    """Per-axis flux terms (1/sqrt(g)) d_i ( sqrt(g) u^i ), shape (dim, N)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     h = M.fd_steps(h_scale)
+    sq = M.sqrt_det(pts)
 
     def weighted(i):
         def f(tt, q):
             return M.sqrt_det(q) * np.asarray(u(tt, q))[:, i]
         return f
 
-    total = np.zeros(pts.shape[0])
-    for i in range(M.dim):
-        total += fd_partial(weighted(i), t, pts, i, h[i])
-    return total / M.sqrt_det(pts)
+    return np.stack([fd_partial(weighted(i), t, pts, i, h[i]) / sq
+                     for i in range(M.dim)])
+
+
+def divergence(M: ChartedManifold, u, t: float, pts: np.ndarray,
+               h_scale: float = 1.0) -> np.ndarray:
+    """(1/sqrt(g)) d_i ( sqrt(g) u^i ), the sum of divergence_terms."""
+    return divergence_terms(M, u, t, pts, h_scale).sum(axis=0)
 
 
 def curl3(M: ChartedManifold, u, t: float, pts: np.ndarray,
@@ -322,17 +350,6 @@ def lie_bracket(M: ChartedManifold, u, v, t: float, pts: np.ndarray,
     uv = np.asarray(u(t, pts))
     vv = np.asarray(v(t, pts))
     return np.einsum("nij,nj->ni", jv, uv) - np.einsum("nij,nj->ni", ju, vv)
-
-
-def cross_product(M: ChartedManifold, u_vals: np.ndarray, v_vals: np.ndarray,
-                  pts: np.ndarray) -> np.ndarray:
-    """Riemannian cross product of component arrays at pts (3D only)."""
-    if M.dim != 3:
-        raise ValueError("cross product needs a 3D chart")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    rg = M.sqrt_det(pts)
-    cov = np.cross(u_vals, v_vals) * rg[:, None]
-    return np.einsum("nij,nj->ni", M.inverse_metric(pts), cov)
 
 
 def poisson_bracket(M: ChartedManifold, f, g, t: float, pts: np.ndarray,

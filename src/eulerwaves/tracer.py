@@ -2,9 +2,12 @@
 
 Fixed-step classical Runge-Kutta in chart coordinates: the fields are smooth
 and the charts bounded, so determinism and a clean convergence story beat
-adaptivity.  Periodic axes wrap every step; the integration halts with a
-status when the state leaves the chart or enters the margin around a
-coordinate singularity (no multi-chart continuation).
+adaptivity.  Every integration is a batch: the active particles form one
+(N, dim) state, each RK4 stage is one velocity call on the whole batch, and
+a single trajectory is the case N = 1.  Periodic axes wrap every step; a
+particle halts with a status when it leaves the chart or enters the margin
+around a coordinate singularity (no multi-chart continuation), and drops
+out of the batch.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .catalogue import ExactSolution
 from .geometry import ChartedManifold
-from .verification import _thread_map
+from .geometry import STATUS_EXITED, STATUS_SINGULAR  # noqa: F401 (public)
 
 __all__ = [
     "Trajectory", "integrate_trajectory", "integrate_many", "closure_test",
@@ -28,25 +31,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 STATUS_COMPLETED = "completed"
-STATUS_EXITED = "exited-domain"
-STATUS_SINGULAR = "hit-singular-margin"
-
-
-def _classify_point(M: ChartedManifold, p: np.ndarray) -> str:
-    """'ok', or the halt status this point would trigger."""
-    for axis in range(M.dim):
-        if M.periodic[axis]:
-            continue
-        lo, hi = M.ranges[axis]
-        margin = M.singular_margin * (hi - lo)
-        x = p[axis]
-        if M.singular_lower[axis] and x < lo + margin:
-            return STATUS_SINGULAR
-        if M.singular_upper[axis] and x > hi - margin:
-            return STATUS_SINGULAR
-        if x < lo or x > hi:
-            return STATUS_EXITED
-    return "ok"
 
 
 @dataclass
@@ -88,27 +72,23 @@ def chart_gap(M: ChartedManifold, a, b) -> float:
     return float(np.max(np.abs(_shortest_delta(M, a, b))))
 
 
-def integrate_trajectory(sol: ExactSolution, x0, t0: float = 0.0,
-                         t1: Optional[float] = None,
-                         dt: Optional[float] = None) -> Trajectory:
-    """Integrate dx/dt = U(t, x) from x0 over [t0, t1].
-
-    The step is shrunk (never grown) so that it divides the horizon exactly;
-    consecutive samples are separated by precisely that step.  Stored samples
-    are wrapped into the fundamental chart ranges.
-    """
+def _integrate(sol: ExactSolution, starts: np.ndarray, t0, t1, dt) -> list:
+    """Validate an (N, dim) batch of starts and the time grid, then advance
+    the batch with RK4, dropping each particle at its first halt."""
     M = sol.manifold
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (M.dim,):
+    if starts.ndim != 2 or starts.shape[1] != M.dim:
         raise ValueError(f"start point needs {M.dim} coordinates")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"start point {tuple(x)} is not finite")
-    x = M.wrap(x)
+    bad = ~np.isfinite(starts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"start point {tuple(starts[bad][0])} is not finite")
+    x = M.wrap(starts)
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if _classify_point(M, x) != "ok":
-        raise ValueError(f"start point {tuple(x)} is outside the usable chart")
+    halts = M.halt_verdicts(x)
+    if halts:
+        raise ValueError(
+            f"start point {tuple(x[min(halts)])} is outside the usable chart")
     if t1 is None:
         t1 = t0 + (sol.period or TWO_PI)
     horizon = float(t1) - float(t0)
@@ -121,38 +101,62 @@ def integrate_trajectory(sol: ExactSolution, x0, t0: float = 0.0,
     n_steps = max(1, math.ceil(horizon / dt - 1e-12))
     step = horizon / n_steps
 
-    def rhs(t: float, p: np.ndarray) -> np.ndarray:
-        return np.asarray(sol.velocity(t, p.reshape(1, -1)), dtype=float)[0]
-
-    times = [float(t0)]
-    points = [x.copy()]
-    status = STATUS_COMPLETED
-    p = x.copy()
+    n = len(x)
+    samples = np.empty((n, n_steps + 1, M.dim))
+    samples[:, 0] = x
+    last = np.full(n, n_steps)          # index of each particle's last sample
+    status = [STATUS_COMPLETED] * n
+    rows = np.arange(n)                 # particle of each active batch row
+    p = x
     for k in range(n_steps):
         t = t0 + k * step
-        k1 = rhs(t, p)
-        k2 = rhs(t + step / 2.0, p + (step / 2.0) * k1)
-        k3 = rhs(t + step / 2.0, p + (step / 2.0) * k2)
-        k4 = rhs(t + step, p + step * k3)
+        k1 = sol.velocity(t, p)
+        k2 = sol.velocity(t + step / 2.0, p + (step / 2.0) * k1)
+        k3 = sol.velocity(t + step / 2.0, p + (step / 2.0) * k2)
+        k4 = sol.velocity(t + step, p + step * k3)
         p = M.wrap(p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        verdict = _classify_point(M, p)
-        if verdict != "ok":
-            status = verdict
-            break
-        times.append(float(t0 + (k + 1) * step))
-        points.append(p.copy())
-    return Trajectory(
-        solution=sol.key, start=tuple(float(v) for v in x), dt=float(step),
-        times=np.asarray(times), points=np.asarray(points), status=status,
-        coords=tuple(M.coords), manifold=M)
+        halts = M.halt_verdicts(p)
+        if halts:
+            for row, verdict in halts.items():
+                status[rows[row]], last[rows[row]] = verdict, k
+            p, rows = np.delete(p, list(halts), 0), np.delete(rows, list(halts))
+            if not rows.size:
+                break
+        if rows.size == n:
+            samples[:, k + 1] = p
+        else:
+            samples[rows, k + 1] = p
+    times = t0 + step * np.arange(n_steps + 1, dtype=float)
+    times[0] = t0
+    return [Trajectory(
+        solution=sol.key, start=tuple(float(v) for v in x[i]),
+        dt=float(step), times=times[:last[i] + 1].copy(),
+        points=samples[i, :last[i] + 1].copy(), status=status[i],
+        coords=tuple(M.coords), manifold=M) for i in range(n)]
+
+
+def integrate_trajectory(sol: ExactSolution, x0, t0: float = 0.0,
+                         t1: Optional[float] = None,
+                         dt: Optional[float] = None) -> Trajectory:
+    """Integrate dx/dt = U(t, x) from x0 over [t0, t1].
+
+    The step is shrunk (never grown) so that it divides the horizon exactly;
+    consecutive samples are separated by precisely that step.  Stored samples
+    are wrapped into the fundamental chart ranges.
+    """
+    x = np.asarray(x0, dtype=float).reshape(1, -1)
+    return _integrate(sol, x, t0, t1, dt)[0]
 
 
 def integrate_many(sol: ExactSolution, starts: Sequence, t0: float = 0.0,
                    t1: Optional[float] = None,
                    dt: Optional[float] = None) -> list:
-    """Independent trajectories; concurrent when EULER_WAVES_THREADS > 1."""
-    return _thread_map(lambda s: integrate_trajectory(sol, s, t0, t1, dt),
-                       starts)
+    """One trajectory per start, integrated together as one batch: each RK4
+    stage is one velocity call on every particle still running.  Each
+    trajectory is bit-identical to integrate_trajectory from its start."""
+    if len(starts) == 0:
+        return []
+    return _integrate(sol, np.asarray(starts, dtype=float), t0, t1, dt)
 
 
 def closure_test(traj: Trajectory, radius: float) -> Optional[float]:

@@ -456,18 +456,10 @@ def constraint_check(sol: ExactSolution, grid=None, tol=None,
     tol_div = _resolve_tol(tol, "divergence", M.dim)
     tol_tan = _resolve_tol(tol, "boundary-tangency", M.dim)
     pts = M.interior_grid(grid)
-    h = M.fd_steps()
-    sq = M.sqrt_det(pts)
 
     div_mags, div_norm = [], 0.0
     for t in times:
-        terms = []
-        for axis in range(M.dim):
-            def flux(tt, pp, i=axis):
-                return M.sqrt_det(pp) * np.asarray(sol.velocity(tt, pp))[:, i]
-
-            terms.append(geo.fd_partial(flux, t, pts, axis, h[axis]) / sq)
-        terms = np.stack(terms)
+        terms = geo.divergence_terms(M, sol.velocity, t, pts)
         div_mags.append(np.abs(terms.sum(axis=0)))
         div_norm = max(div_norm, float(np.max(np.abs(terms))))
     checks = [_check("divergence", np.concatenate(div_mags), div_norm,

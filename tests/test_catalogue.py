@@ -399,7 +399,7 @@ def test_registry_builds_all_entries_with_defaults():
 
 
 def test_build_rejects_unknown_keys_and_params():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no-such-flow.*known: .*kelvin-torus"):
         cat.build("no-such-flow")
     with pytest.raises(cat.ConstructionError):
         cat.build("kelvin-torus", q=3)
@@ -440,8 +440,6 @@ def test_velocity_field_algebra_roundtrip():
     sol = cat.kelvin_torus(n=1, m=2)
     U = sol.velocity_field()
     pts = np.random.default_rng(1).uniform(0, 2 * np.pi, size=(10, 2))
-    frozen = U.freeze(0.7)
-    assert np.allclose(frozen(123.0, pts), U(0.7, pts))
     doubled = 2.0 * U
     assert np.allclose(doubled(0.3, pts), 2.0 * U(0.3, pts))
     summed = U + U

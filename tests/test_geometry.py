@@ -261,22 +261,6 @@ def test_curl3_twisted_annulus_rotations():
     assert np.max(np.abs(c_shift - expected_shift)) < 1e-6
 
 
-def test_cross_product_three_sphere_frame():
-    # The orthonormal frame E1 = d_chi, E2 = tan(chi) d_theta - cot(chi) d_phi,
-    # E3 = d_theta + d_phi satisfies E1 x E2 = E3 (and cyclic).
-    M = geo.three_sphere()
-    pts = M.interior_grid((7, 4, 4))
-    tan, cot = np.tan(pts[:, 0]), 1.0 / np.tan(pts[:, 0])
-    zeros = np.zeros(len(pts))
-    ones = np.ones(len(pts))
-    e1 = np.stack([ones, zeros, zeros], axis=-1)
-    e2 = np.stack([zeros, tan, -cot], axis=-1)
-    e3 = np.stack([zeros, ones, ones], axis=-1)
-    assert np.max(np.abs(geo.cross_product(M, e1, e2, pts) - e3)) < 1e-12
-    assert np.max(np.abs(geo.cross_product(M, e2, e3, pts) - e1)) < 1e-12
-    assert np.max(np.abs(geo.cross_product(M, e3, e1, pts) - e2)) < 1e-12
-
-
 def test_lie_bracket_flat_closed_form():
     M = geo.flat_torus()
     pts = torus_points(30)
@@ -411,6 +395,23 @@ def test_wrap_and_in_domain():
     M = geo.flat_disk()
     p = M.wrap(np.array([0.5, 2 * np.pi + 0.25]))
     assert abs(p[1] - 0.25) < 1e-12
-    assert M.in_domain(np.array([0.5, 1.0]))
-    assert not M.in_domain(np.array([0.01, 1.0]))   # inside singular margin
-    assert not M.in_domain(np.array([1.2, 1.0]))    # outside the chart
+    pts = np.array([[0.5, 1.0],
+                    [0.01, 1.0],      # inside the singular margin
+                    [1.2, 1.0],       # outside the chart
+                    [np.nan, 1.0],    # non-finite on a bounded axis
+                    [0.5, 7.0]])      # periodic axes never halt
+    assert M.halt_verdicts(pts) == {1: "hit-singular-margin",
+                                    2: "exited-domain", 3: "exited-domain"}
+    assert M.halt_verdicts(pts[[0, 4]]) == {}
+    assert geo.flat_torus().halt_verdicts(np.array([[50.0, -3.0]])) == {}
+    # the first failing axis decides; on one axis the margin beats the range
+    square = geo.ChartedManifold(
+        name="square", dim=2, coords=("x", "y"),
+        ranges=((0.0, 1.0), (0.0, 1.0)), periodic=(False, False),
+        metric=M.metric, singular_lower=(True, True))
+    assert square.halt_verdicts(np.array(
+        [[1.5, 0.01], [0.01, 1.5], [0.5, 0.01], [0.5, -1.0], [0.5, 1.5],
+         [1.0, 0.05]])) \
+        == {0: "exited-domain", 1: "hit-singular-margin",
+            2: "hit-singular-margin", 3: "hit-singular-margin",
+            4: "exited-domain"}

@@ -169,6 +169,8 @@ def test_invalid_start_rejected():
         tr.integrate_trajectory(sol, (0.5, 0.0), 0.0, 1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         tr.integrate_trajectory(sol, (0.5, 0.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="outside the usable chart"):
+        tr.integrate_many(sol, [(0.5, 0.0), (1.5, 0.0)], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -181,6 +183,9 @@ def test_non_finite_inputs_rejected(kwargs):
     args = {"x0": (0.5, 0.0), "t0": 0.0, "t1": 1.0, "dt": 1e-2, **kwargs}
     with pytest.raises(ValueError, match="finite"):
         tr.integrate_trajectory(sol, **args)
+    starts = [(0.5, 0.0), args.pop("x0")]
+    with pytest.raises(ValueError, match="finite"):
+        tr.integrate_many(sol, starts, **args)
 
 
 def test_samples_stay_wrapped():
@@ -210,18 +215,66 @@ def test_closure_requires_completed():
         tr.closure_test(traj, 1e-3)
 
 
-# -- concurrency and export ---------------------------------------------------
+# -- batches and export -------------------------------------------------------
 
 
-def test_integrate_many_matches_sequential(monkeypatch):
-    sol = cat.kelvin_torus(n=1, m=2)
-    starts = [(0.4, 1.7), (2.0, 0.3), (5.1, 4.4)]
-    serial = [tr.integrate_trajectory(sol, s, 0.0, 2.0) for s in starts]
-    monkeypatch.setenv("EULER_WAVES_THREADS", "3")
-    threaded = tr.integrate_many(sol, starts, 0.0, 2.0)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.points, b.points)
-        assert a.status == b.status
+def _reference_rk4(sol, start, t0, n_steps, step):
+    """The per-point RK4 loop with an early halt, the reference for the
+    batched core: (times, points, status)."""
+    M = sol.manifold
+
+    def f(t, q):
+        return sol.velocity(t, q.reshape(1, -1))[0]
+
+    p = np.asarray(start, dtype=float)
+    times, points, status = [t0], [p], "completed"
+    for k in range(n_steps):
+        t = t0 + k * step
+        k1 = f(t, p)
+        k2 = f(t + step / 2.0, p + (step / 2.0) * k1)
+        k3 = f(t + step / 2.0, p + (step / 2.0) * k2)
+        k4 = f(t + step, p + step * k3)
+        p = M.wrap(p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        halts = M.halt_verdicts(p.reshape(1, -1))
+        if halts:
+            status = halts[0]
+            break
+        times.append(t0 + (k + 1) * step)
+        points.append(p)
+    return np.array(times), np.array(points), status
+
+
+def test_integrate_many_matches_sequential():
+    torus = cat.kelvin_torus(n=1, m=2)
+    disk = cat.kelvin_disk(n=1, m=1)
+    outward = _synthetic(geo.flat_disk(), (1.0, 0.0))
+    # (solution, starts, (t0, t1, dt), distinct halt steps)
+    cases = [
+        (torus, [(0.4, 1.7), (2.0, 0.3), (5.1, 4.4)], (0.0, 2.0, None), 0),
+        # completed runs mixed with singular-margin halts at seven steps
+        (disk, disk.manifold.interior_grid((8, 2)), (0.0, math.pi / 2, None),
+         7),
+        # three exits at three different steps
+        (outward, [(0.2, 1.0), (0.5, 2.0), (0.9, 3.0)], (0.0, 5.0, 1e-2), 3),
+    ]
+    for sol, starts, (t0, t1, dt), n_halts in cases:
+        serial = [tr.integrate_trajectory(sol, s, t0, t1, dt) for s in starts]
+        batch = tr.integrate_many(sol, starts, t0, t1, dt)
+        assert len(batch) == len(serial)
+        n_steps = round((t1 - t0) / batch[0].dt)
+        for a, b in zip(serial, batch):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.times, b.times)
+            assert a.status == b.status
+            assert a.start == b.start and a.dt == b.dt
+            times, points, status = _reference_rk4(sol, b.start, t0, n_steps,
+                                                   b.dt)
+            assert np.array_equal(b.points, points)
+            assert np.array_equal(b.times, times)
+            assert b.status == status
+        assert len({len(a.times) for a in serial
+                    if a.status != "completed"}) == n_halts
+    assert tr.integrate_many(torus, []) == []
 
 
 def test_csv_roundtrip(tmp_path):
