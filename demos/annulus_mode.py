@@ -6,7 +6,7 @@ c; curl eigenfields on it reduce to a first-order system for the mode
 amplitudes (g, h) on [a, b] with tangency walls at both ends.  For the
 default linear profile with c = -3/10, a = 2*pi/3, b = 2*pi the eigenvalue
 is exactly alpha = 5/4 and (g, h) have elementary closed forms -- a sharp
-cross-check on the shooting solver.  Setting c = 0 decouples the twist and
+cross-check on the collocation solver.  Setting c = 0 decouples the twist and
 everything collapses to classical Bessel functions.
 """
 
@@ -33,7 +33,7 @@ def main() -> None:
     rs = np.linspace(A0, B0, 7)
     g_ref = 5.0 * np.sqrt(rs) * np.cos(0.75 * rs)
     scale = mode.g(rs[3]) / g_ref[3]
-    print("  r, g(shot), g(closed form x scale):")
+    print("  r, g(collocation), g(closed form x scale):")
     for r, g_num, g_cf in zip(rs, mode.g(rs), scale * g_ref):
         print(f"    {r:8.5f}  {g_num:14.10f}  {g_cf:14.10f}")
 
@@ -43,7 +43,7 @@ def main() -> None:
     mode0 = sv.solve_cmetric_mode(prof0, n=0, m=1, branch=1)
     beta = sv.crossproduct_root(1.0, 1.0, 2.0, 1)
     print(f"  cross-product root beta = {beta:.12f}")
-    print(f"  alpha(shot) = {mode0.alpha:.12f}")
+    print(f"  alpha(collocation) = {mode0.alpha:.12f}")
     print(f"  sqrt(beta^2 + 1) = {math.sqrt(beta ** 2 + 1):.12f}")
 
     # the half-integer dispersion on the default interval is elementary:

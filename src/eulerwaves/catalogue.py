@@ -429,7 +429,7 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     nu = abs(n)
     try:
         mode = sf.hyperbolic_radial_mode(nu, m, r_max=float(r_max))
-    except solvers.SolverError as exc:
+    except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
     E = mode.eigenvalue
     M = geo.hyperbolic_disk(r_max=float(r_max))

@@ -87,10 +87,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--branch", type=int, default=1)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
+    p.add_argument("--nu", type=finite)
+    p.add_argument("--a", type=finite)
+    p.add_argument("--b", type=finite)
+    p.add_argument("--c", type=finite)
     p.add_argument("--out", help="write the JSON result here")
     p.add_argument("--format", choices=["json", "text"], default="json")
 
@@ -297,13 +297,13 @@ def cmd_eigen(ns) -> int:
                 profile, params["n"], params["m"], branch=ns.branch)
             results = {"alpha": mode.alpha,
                        "boundary-residual": mode.boundary_residual}
+        doc = {"schema": 1, "version": __version__, "problem": problem,
+               "params": params, "results": results}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except (SolverError, ConstructionError, ValueError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    doc = {"schema": 1, "version": __version__, "problem": problem,
-           "params": params, "results": results}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,9 +1,11 @@
-"""The shared mode-solver pipeline: a lazy sign-change scan, bisection, and
-the ODE options and Chebyshev fit of the two shooting solvers.
+"""The shared mode-solver tools: a lazy sign-change scan and bisection for
+the dispersion roots, and Chebyshev collocation for the two eigenproblems
+without a closed form.
 
-Callers look ``scan_brackets``, ``bisect_root`` and ``solve_ivp`` up in their
-own module namespace, so a tracer that wraps those names there (as
-``benchmarks/layers.py`` does) sees every step.
+Callers look ``scan_brackets`` and ``bisect_root`` up in their own module
+namespace, so a tracer that wraps those names there (as
+``benchmarks/layers.py`` does) sees every step.  ``cheb`` and ``collocate``
+follow Trefethen, *Spectral Methods in MATLAB* (SIAM 2000), ch. 6 and 7.
 """
 
 from __future__ import annotations
@@ -11,17 +13,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
+from scipy.fft import dct
 
 __all__ = ["SolverError", "scan_brackets", "bisect_root", "newton_polish",
-           "fit_dense"]
+           "cheb", "collocate"]
 
-_IVP_OPTS = dict(method="DOP853", rtol=1e-12, atol=1e-14)
-_CHEB_NODES = 201
+_SIZES = (33, 65, 129)
+_CHOP_TOL = 1e-13
 
 
 class SolverError(RuntimeError):
-    """A dispersion scan or shooting iteration failed to locate a root."""
+    """A dispersion scan or collocation solve failed to locate a mode."""
 
 
 def scan_brackets(f, lo: float, hi: float, n: int, k: int = 1) -> tuple:
@@ -83,10 +85,41 @@ def newton_polish(f, df, x0: float, steps: int = 3) -> float:
     return x
 
 
-def fit_dense(dense, a: float, b: float) -> list:
-    """Chebyshev interpolants on [a, b] of each component of a dense ODE
-    solution, through the 201 Chebyshev-Lobatto nodes."""
-    nodes = a + (b - a) * 0.5 * (1.0 - np.cos(
-        np.pi * np.arange(_CHEB_NODES) / (_CHEB_NODES - 1)))
-    return [cheb.Chebyshev.fit(nodes, vals, deg=_CHEB_NODES - 1, domain=[a, b])
-            for vals in dense(nodes)]
+def cheb(N: int):
+    """The N + 1 Chebyshev points x_j = cos(j pi/N) and the matrix D with
+    (D v)_j = p'(x_j) for the polynomial p through the values v (cheb.m)."""
+    x = np.sin(np.pi * np.arange(N, -N - 1, -2) / (2 * N))
+    c = np.where(np.arange(N + 1) % 2, -1.0, 1.0)
+    c[[0, N]] *= 2.0
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(N + 1))
+    return x, D - np.diag(D.sum(axis=1))
+
+
+def collocate(solve):
+    """Run solve(N) for N = 33, 65, 129 until its eigenvector is resolved.
+
+    solve(N) returns (eigenvalue, columns), each column the values of one
+    profile at the points of cheb(N), or raises SolverError when N holds too
+    few modes.  A column is resolved when its last four Chebyshev
+    coefficients are below 1e-13 max|c| (four, because a series of one
+    parity has every other coefficient zero); it is then chopped after its
+    last coefficient above that level.  Returns the eigenvalue and the
+    chopped coefficients of each column.
+    """
+    for N in _SIZES:
+        try:
+            value, columns = solve(N)
+        except SolverError as exc:
+            failure = exc
+            continue
+        coefs = [dct(v, type=1) / N for v in columns]
+        for c in coefs:
+            c[[0, N]] /= 2.0
+        tail = max(np.max(np.abs(c[-4:])) / np.max(np.abs(c)) for c in coefs)
+        if tail < _CHOP_TOL:
+            return value, [c[:np.flatnonzero(
+                np.abs(c) > _CHOP_TOL * np.max(np.abs(c)))[-1] + 1]
+                for c in coefs]
+        failure = SolverError(f"eigenvector not resolved at N = {N}: "
+                              f"Chebyshev tail {tail:.1e} of its maximum")
+    raise failure

@@ -1,4 +1,4 @@
-"""Dispersion relations and the c-metric boundary-value shooting solver.
+"""Dispersion relations and the c-metric curl eigenmode solver.
 
 Two closed-form dispersion relations back the cylinder catalogue entries:
 
@@ -8,9 +8,10 @@ Two closed-form dispersion relations back the cylinder catalogue entries:
   two-wall condition that closes separable annulus modes.
 
 General twisted annuli (metric controlled by a radial profile phi and twist
-parameter c) have no closed form; solve_cmetric_mode shoots the coupled
-first-order system for the mode amplitudes (g, h) across the gap and tunes
-the curl eigenvalue alpha until the wall condition holds at both ends.
+parameter c) have no closed form; solve_cmetric_mode solves the first-order
+system for the mode amplitudes (g, h, f) across the gap by Chebyshev
+collocation, as a generalized eigenproblem in the curl eigenvalue alpha with
+the wall condition at both ends.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import Chebyshev
+from scipy.linalg import eig
 
-from .rootfind import _IVP_OPTS, SolverError, bisect_root, fit_dense, \
+from .rootfind import SolverError, bisect_root, cheb, collocate, \
     scan_brackets
 from .specfun import bessel_j, bessel_j_prime, bessel_y
 
@@ -81,7 +82,7 @@ def crossproduct_root(nu: float, a: float, b: float, branch: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# c-metric shooting
+# c-metric curl eigenmodes
 # ---------------------------------------------------------------------------
 
 
@@ -117,7 +118,7 @@ class CMetricMode:
 
     g and h are the rotational/axial mode amplitudes, f the radial one,
     reconstructed as f = (n h - (m - c n/phi^2) g)/(alpha phi phi').
-    Profiles are Chebyshev interpolants of the shot solution.
+    Profiles are the chopped Chebyshev series of the collocation eigenvector.
     """
 
     profile: CMetricProfile
@@ -126,10 +127,10 @@ class CMetricMode:
     branch: int
     alpha: float
     boundary_residual: float
-    _g: cheb.Chebyshev
-    _h: cheb.Chebyshev
-    _dg: cheb.Chebyshev
-    _dh: cheb.Chebyshev
+    _g: Chebyshev
+    _h: Chebyshev
+    _dg: Chebyshev
+    _dh: Chebyshev
 
     def g(self, r):
         return self._g(np.asarray(r, dtype=float))
@@ -152,54 +153,20 @@ class CMetricMode:
         return (self.n * self.h(r) - mu * self.g(r)) / (self.alpha * phi * dphi)
 
 
-def _cmetric_rhs(profile: CMetricProfile, n: int, m: int, alpha: float):
-    c = profile.c
-
-    def rhs(r, y):
-        g, h = y
-        phi = float(profile.phi(np.array([r]))[0])
-        dphi = float(profile.dphi(np.array([r]))[0])
-        mu = m - c * n / phi ** 2
-        den = alpha * phi * dphi
-        dg = (n * mu * g + (alpha ** 2 * phi ** 2 - n ** 2) * h) / den
-        dh = ((2 * c * alpha * dphi ** 2 / phi ** 2 + mu ** 2
-               - alpha ** 2 * dphi ** 2) * g - n * mu * h) / den
-        return [dg, dh]
-
-    return rhs
-
-
-def _cmetric_shoot(profile: CMetricProfile, n: int, m: int, alpha: float,
-                   dense: bool = False):
-    a, b = profile.r_lo, profile.r_hi
-    phi_a = float(profile.phi(np.array([a]))[0])
-    mu_a = m - profile.c * n / phi_a ** 2
-    chi0 = math.atan2(n, mu_a)
-    y0 = [math.sin(chi0), math.cos(chi0)]
-    sol = solve_ivp(_cmetric_rhs(profile, n, m, alpha), (a, b), y0,
-                    dense_output=dense, **_IVP_OPTS)
-    if not sol.success:
-        raise SolverError(f"IVP integration failed at alpha={alpha}")
-    return sol
-
-
-def _cmetric_wall_mismatch(profile: CMetricProfile, n: int, m: int,
-                           alpha: float) -> float:
-    sol = _cmetric_shoot(profile, n, m, alpha)
-    g_b, h_b = sol.y[0, -1], sol.y[1, -1]
-    phi_b = float(profile.phi(np.array([profile.r_hi]))[0])
-    mu_b = m - profile.c * n / phi_b ** 2
-    return n * h_b - mu_b * g_b
-
-
 def solve_cmetric_mode(profile: CMetricProfile, n: int, m: int,
-                       branch: int = 1, alpha_range: tuple = (0.1, 30.0),
-                       resolution: int = 400) -> CMetricMode:
-    """Locate the branch-th positive curl eigenvalue alpha and its mode.
+                       branch: int = 1) -> CMetricMode:
+    """Locate the branch-th curl eigenvalue alpha above 0.1 and its mode.
 
-    Scans the wall-mismatch functional over alpha_range up to the chosen
-    sign change, bisects it, then integrates once more and stores Chebyshev
-    proxies of (g, h) for smooth downstream evaluation.  Modes are cached
+    Chebyshev collocation of the linear pencil A y = alpha B y in (g, h, f),
+    with mu = m - c n/phi^2:
+
+        g' + n f                       =  alpha (phi/phi') h
+        h' - (2 c phi'/phi^3) g + mu f =  -alpha (phi'/phi) g
+        n h - mu g                     =  alpha phi phi' f
+
+    f vanishes at the walls, where the last row becomes the wall condition
+    n h - mu g = 0; the g-row at r_lo and the h-row at r_hi are dropped.
+    (g, h)(r_lo) is the unit vector along (n, mu(r_lo)).  Modes are cached
     per argument set.
     """
     n, m, branch = int(n), int(m), int(branch)
@@ -207,18 +174,51 @@ def solve_cmetric_mode(profile: CMetricProfile, n: int, m: int,
         raise ValueError("mode numbers (n, m) = (0, 0) carry no wave")
     if branch < 1:
         raise ValueError("branch index must be >= 1")
-    return _cmetric_mode(profile, n, m, branch, tuple(alpha_range),
-                         int(resolution))
+    if not (0.0 < profile.r_lo < profile.r_hi < math.inf
+            and math.isfinite(profile.c)):
+        raise ValueError("the c-metric needs 0 < r_lo < r_hi < inf and a "
+                         "finite c")
+    return _cmetric_mode(profile, n, m, branch)
 
 
 @functools.lru_cache(maxsize=None)
-def _cmetric_mode(profile, n, m, branch, alpha_range, resolution):
-    F = lambda alpha: _cmetric_wall_mismatch(profile, n, m, alpha)
-    alpha = bisect_root(F, *scan_brackets(F, *alpha_range, resolution, branch))
-    sol = _cmetric_shoot(profile, n, m, alpha, dense=True)
-    g_proxy, h_proxy = fit_dense(sol.sol, profile.r_lo, profile.r_hi)
+def _cmetric_mode(profile, n, m, branch):
+    a, b, c = profile.r_lo, profile.r_hi, profile.c
+
+    def solve(N):
+        x, D = cheb(N)  # point 0 is r_hi, point N is r_lo
+        r = a + 0.5 * (b - a) * (x + 1.0)
+        D = D * (2.0 / (b - a))
+        phi = np.asarray(profile.phi(r), dtype=float)
+        dphi = np.asarray(profile.dphi(r), dtype=float)
+        mu = m - c * n / phi ** 2
+        I, Z = np.eye(N + 1), np.zeros((N + 1, N + 1))
+        F = I[:, 1:N]  # f lives on the interior points only
+        A = np.block([[D, Z, n * F],
+                      [np.diag(-2.0 * c * dphi / phi ** 3), D, mu[:, None] * F],
+                      [np.diag(-mu), n * I, 0.0 * F]])
+        B = np.block([[Z, np.diag(phi / dphi), 0.0 * F],
+                      [np.diag(-dphi / phi), Z, 0.0 * F],
+                      [Z, Z, (phi * dphi)[:, None] * F]])
+        # drop the g-row at r_lo and the h-row at r_hi; the other three
+        # choices of one g- or h-row per wall admit spurious eigenvalues
+        keep = np.delete(np.arange(3 * N + 3), [N, N + 1])
+        w, V = eig(A[keep], B[keep])  # the two wall rows give alpha = inf
+        found = np.flatnonzero(np.isfinite(w) & (w.imag == 0.0)
+                               & (w.real > 0.1))
+        if len(found) < branch:
+            raise SolverError(f"only {len(found)} curl eigenvalues above 0.1 "
+                              f"at N = {N}, need {branch}")
+        k = found[np.argsort(w.real[found])[branch - 1]]
+        y = V[:, k]
+        y = (y * math.hypot(n, mu[N]) / (n * y[N] + mu[N] * y[2 * N + 1])).real
+        return float(w[k].real), [y[:N + 1], y[N + 1:2 * N + 2]]
+
+    alpha, (g_coefs, h_coefs) = collocate(solve)
+    g, h = (Chebyshev(cf, domain=[a, b]) for cf in (g_coefs, h_coefs))
+    mu_b = m - c * n / float(profile.phi(np.array([b]))[0]) ** 2
     return CMetricMode(
-        profile=profile, n=n, m=m, branch=branch, alpha=float(alpha),
-        boundary_residual=float(F(alpha)),
-        _g=g_proxy, _h=h_proxy, _dg=g_proxy.deriv(), _dh=h_proxy.deriv(),
+        profile=profile, n=n, m=m, branch=branch, alpha=alpha,
+        boundary_residual=float(n * h(b) - mu_b * g(b)),
+        _g=g, _h=h, _dg=g.deriv(), _dh=h.deriv(),
     )

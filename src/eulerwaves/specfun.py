@@ -1,8 +1,9 @@
 """Special functions needed by the solution catalogue.
 
-Bessel evaluation is delegated to scipy.special; zero-finding, the Ferrers
-associated Legendre functions (Condon-Shortley phase), Jacobi polynomials
-and the hyperbolic-disk radial eigenmodes are implemented here.
+Bessel evaluation is delegated to scipy.special; zero-finding (scan and
+bisection), the Ferrers associated Legendre functions (Condon-Shortley
+phase), Jacobi polynomials and the hyperbolic-disk radial eigenmodes
+(Chebyshev collocation) are implemented here.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import Chebyshev
 from scipy.special import jv, jvp, yv, yvp
 
-from .rootfind import _IVP_OPTS, bisect_root, fit_dense, newton_polish, \
-    scan_brackets
+from .rootfind import SolverError, bisect_root, cheb, collocate, \
+    newton_polish, scan_brackets
 
 __all__ = [
     "bessel_j",
@@ -162,9 +162,6 @@ def jacobi_poly_deriv(d: int, a: int, b: int, x):
 # hyperbolic-disk radial eigenmodes
 # ---------------------------------------------------------------------------
 
-_SERIES_START = 1e-4
-
-
 @dataclass
 class RadialMode:
     """Radial profile R(r) of a hyperbolic-disk eigenmode.
@@ -172,9 +169,9 @@ class RadialMode:
     Solves R'' + coth(r) R' + (E - n^2/sinh(r)^2) R = 0 on (0, r_max) with
     R ~ r^n at the origin and R(r_max) = 0; E = 1/4 + beta^2 is the
     (positive) Laplace eigenvalue of the stream function R(r) e^{i n theta}.
-    Profiles are stored as Chebyshev interpolants of the integrated solution
-    (smooth to machine precision, safe to difference numerically) and
-    normalized to sup |R| = 1.
+    The profile is a chopped Chebyshev series on [-r_max, r_max] of parity
+    (-1)^n (smooth to machine precision down to r = 0, safe to difference
+    numerically), normalized to sup |R| = 1 and R > 0 on the first lobe.
     """
 
     order: int
@@ -183,97 +180,66 @@ class RadialMode:
     eigenvalue: float
     r_max: float
     boundary_residual: float
-    _proxy: cheb.Chebyshev
-    _dproxy: cheb.Chebyshev
-    _series_scale: float
+    _proxy: Chebyshev
+    _dproxy: Chebyshev
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._proxy(np.clip(r, _SERIES_START, self.r_max))
-        small = r < _SERIES_START
-        if np.any(small):
-            out = np.where(small, self._series_scale * self._series(r), out)
-        return out
+        return self._proxy(np.asarray(r, dtype=float))
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return self._dproxy(np.clip(r, _SERIES_START, self.r_max))
-
-    def _series(self, r):
-        n, E = self.order, self.eigenvalue
-        a2 = -(E + n * (n + 1) / 3.0) / (4.0 * (n + 1))
-        rr = np.maximum(r, 0.0)
-        return rr ** n * (1.0 + a2 * rr ** 2)
+        return self._dproxy(np.asarray(r, dtype=float))
 
 
-def _hyperbolic_rhs(E: float, n: int):
-    def rhs(r, y):
-        s = np.sinh(r)
-        return [y[1], -y[1] / np.tanh(r) - (E - n * n / (s * s)) * y[0]]
-    return rhs
-
-
-def _hyperbolic_initial(E: float, n: int, r0: float):
-    a2 = -(E + n * (n + 1) / 3.0) / (4.0 * (n + 1))
-    R = r0 ** n * (1.0 + a2 * r0 ** 2)
-    dR = n * r0 ** (n - 1) * (1.0 + a2 * r0 ** 2) + r0 ** n * 2.0 * a2 * r0
-    return [R, dR]
-
-
-def _shoot_endpoint(beta: float, n: int, r_max: float) -> float:
-    E = 0.25 + beta * beta
-    r0 = _SERIES_START
-    sol = solve_ivp(_hyperbolic_rhs(E, n), (r0, r_max),
-                    _hyperbolic_initial(E, n, r0), **_IVP_OPTS)
-    return sol.y[0, -1]
-
-
-def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0,
-                           beta_max: float = 40.0) -> RadialMode:
+def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0) -> RadialMode:
     """m-th Dirichlet radial mode of order n on the hyperbolic disk.
 
-    Shooting on beta: integrate from a Frobenius start r^n (1 + a2 r^2) at
-    r = 1e-4, scan the endpoint value up to its m-th sign change on
-    (0.05, beta_max), bisect that bracket, then store the converged profile
-    as a Chebyshev interpolant.  Modes are cached per argument set.
+    Chebyshev collocation on [-r_max, r_max] folded by the parity (-1)^n of
+    the mode (Trefethen, Spectral Methods in MATLAB, ch. 11): the operator
+    acts on the positive interior points, N is odd so r = 0 is not a point,
+    and R(r_max) = 0 because that point is dropped.  The m-th smallest
+    E = -eigenvalue is the mode.  Modes are cached per argument set.
     """
     n, m = int(n), int(m)
     if n < 0:
         raise ValueError("radial order n must be >= 0 (pass |n|)")
     if m < 1:
         raise ValueError("mode index m must be >= 1")
-    return _radial_mode(n, m, float(r_max), float(beta_max))
+    r_max = float(r_max)
+    if not 0.0 < r_max < math.inf:
+        raise ValueError("the disk radius r_max must be positive and finite")
+    return _radial_mode(n, m, r_max)
 
 
 @functools.lru_cache(maxsize=None)
-def _radial_mode(n, m, r_max, beta_max):
-    endpoint = lambda beta: _shoot_endpoint(beta, n, r_max)
-    beta = bisect_root(endpoint,
-                       *scan_brackets(endpoint, 0.05, beta_max, 400, m))
-    E = 0.25 + beta * beta
+def _radial_mode(n, m, r_max):
+    parity = (-1.0) ** n
 
-    r0 = _SERIES_START
-    sol = solve_ivp(_hyperbolic_rhs(E, n), (r0, r_max),
-                    _hyperbolic_initial(E, n, r0), dense_output=True,
-                    **_IVP_OPTS)
-    raw = fit_dense(sol.sol, r0, r_max)[0]
-    # normalize to sup |R| = 1: dense grid argmax, then Newton on R' = 0
-    draw, d2raw = raw.deriv(), raw.deriv(2)
-    dense = np.linspace(r0, r_max, 4001)
-    r_star = dense[np.argmax(np.abs(raw(dense)))]
-    for _ in range(4):
-        curv = d2raw(r_star)
-        if curv == 0.0:
-            break
-        step = draw(r_star) / curv
-        r_new = min(max(r_star - step, r0), r_max)
-        if abs(r_new - r_star) < 1e-15:
-            break
-        r_star = r_new
-    scale = 1.0 / max(np.max(np.abs(raw(dense))), abs(raw(r_star)))
-    proxy = scale * raw
+    def solve(N):
+        K = (N - 1) // 2  # points with 0 < r < r_max; point N - j mirrors j
+        if K < m:
+            raise SolverError(f"only {K} radial modes at N = {N}, need {m}")
+        x, D = cheb(N)
+        D = D / r_max
+        r = r_max * x[1:K + 1]
+        rows = (D @ D)[1:K + 1] + D[1:K + 1] / np.tanh(r)[:, None]
+        A = (rows[:, 1:K + 1] + parity * rows[:, N - 1:K:-1]
+             - np.diag(n * n / np.sinh(r) ** 2))
+        w, V = np.linalg.eig(A)
+        k = np.argsort(-w.real)[m - 1]
+        v = V[:, k].real
+        R = np.zeros(N + 1)
+        R[1:K + 1], R[N - 1:K:-1] = v, parity * v
+        return float(-w[k].real), [R]
+
+    E, (coefs,) = collocate(solve)
+    raw = Chebyshev(coefs, domain=[-r_max, r_max])
+    # sup |R| over the critical points and the ends; the sign of R ~ a r^n
+    # is the sign of the n-th derivative at the origin
+    crit = np.clip(raw.deriv().roots().real, 0.0, r_max)
+    proxy = raw * (np.sign(raw.deriv(n)(0.0))
+                   / np.max(np.abs(raw(np.append(crit, [0.0, r_max])))))
     return RadialMode(
-        order=n, index=m, beta=float(beta), eigenvalue=float(E),
-        r_max=r_max, boundary_residual=float(scale * sol.y[0, -1]),
-        _proxy=proxy, _dproxy=proxy.deriv(), _series_scale=float(scale),
+        order=n, index=m, beta=math.sqrt(E - 0.25), eigenvalue=E,
+        r_max=r_max, boundary_residual=float(proxy(r_max)),
+        _proxy=proxy, _dproxy=proxy.deriv(),
     )

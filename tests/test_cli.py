@@ -130,11 +130,15 @@ def test_verify_degenerate_construction_exits_2(capsys):
                    "--d", "0", "--sign", "+")
     assert code == 2
     assert "eigenfield" in capsys.readouterr().err.lower()
+    code = run_cli("verify", "kelvin-hyperbolic", "--r_max=0", "--grid", "6,6",
+                   "--times", "0.7")
+    assert code == 2
+    assert "r_max" in capsys.readouterr().err
 
 
 def test_verify_missing_radial_mode_exits_2(capsys):
-    # only 12 hyperbolic radial modes of order 1 lie below the scan's beta = 40
-    code = run_cli("verify", "kelvin-hyperbolic", "--m", "13", "--grid", "6,6",
+    # the largest collocation size, N = 129, holds 64 radial modes
+    code = run_cli("verify", "kelvin-hyperbolic", "--m", "65", "--grid", "6,6",
                    "--times", "0.7")
     assert code == 2
     assert capsys.readouterr().err.startswith("construction failed: ")
@@ -203,11 +207,27 @@ def test_eigen_unknown_problem_is_usage_error(capsys):
 
 
 def test_eigen_no_root_in_window_exits_2(capsys):
-    # branch far beyond anything reachable in the scan window
+    # branch far beyond anything the collocation sizes resolve
     code = run_cli("eigen", "cmetric", "--n", "0", "--m", "1", "--c", "-0.3",
                    "--a", "2.0943951023931953", "--b", "6.283185307179586",
                    "--branch", "400")
     assert code == 2
+    # walls that are not 0 < a < b
+    for a, b in [("0", "1"), ("2", "1")]:
+        assert run_cli("eigen", "cmetric", "--n", "0", "--m", "1", "--c",
+                       "-0.3", "--a", a, "--b", b) == 2
+        assert capsys.readouterr().err.startswith("solver failed: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["crossproduct", "--nu", "nan", "--a", "1", "--b", "2"],
+    ["cmetric", "--n", "0", "--m", "1", "--c", "nan", "--a", "1", "--b", "2"],
+    ["cmetric", "--n", "0", "--m", "1", "--c", "0", "--a", "1", "--b", "inf"],
+])
+def test_eigen_non_finite_inputs_are_usage_errors(tmp_path, flags):
+    out = tmp_path / "e.json"
+    assert run_cli("eigen", *flags, "--out", str(out)) == 64
+    assert not out.exists()
 
 
 # -- trace --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dispersion-root and c-metric shooting solver checks.
+"""Dispersion-root and c-metric collocation solver checks.
 
 Oracles: the half-integer cross-product dispersion collapses to sin(k(b-a)),
 giving exact rational roots; the c = 0 annulus has a closed Bessel solution;
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import mpmath as mp
 
-from eulerwaves import catalogue as cat
 from eulerwaves import rootfind
 from eulerwaves import solvers as sv
 from eulerwaves import specfun as sf
@@ -40,6 +39,34 @@ def test_scan_brackets_skips_nonfinite():
     with pytest.raises(SolverError):
         scan_brackets(f, 0.0, 4.0, 400, k=2)
     assert abs(bisect_root(f, *br) - np.pi / 2) < 1e-10
+
+
+def test_collocate_chops_resolved_series_and_rejects_unresolved():
+    # exp(x) is resolved at N = 33 with 13 coefficients above 1e-13 max|c|;
+    # the Runge function 1/(1 + 400 x^2) needs more than N = 129 points.
+    sizes = []
+
+    def solve(f):
+        def columns(N):
+            sizes.append(N)
+            return 1.0, [f(rootfind.cheb(N)[0])]
+        return columns
+
+    value, (coefs,) = rootfind.collocate(solve(np.exp))
+    assert value == 1.0 and sizes == [33] and len(coefs) == 13
+    x = np.linspace(-1.0, 1.0, 101)
+    assert np.max(np.abs(np.polynomial.chebyshev.chebval(x, coefs)
+                         - np.exp(x))) < 1e-13 * np.e
+    sizes.clear()
+    with pytest.raises(SolverError, match="not resolved at N = 129"):
+        rootfind.collocate(solve(lambda x: 1.0 / (1.0 + 400.0 * x ** 2)))
+    assert sizes == [33, 65, 129]
+
+
+def test_cheb_differentiates_polynomials_exactly():
+    x, D = rootfind.cheb(9)
+    assert x[0] == 1.0 and x[-1] == -1.0 and np.all(x[:5] == -x[:4:-1])
+    assert np.max(np.abs(D @ x ** 9 - 9 * x ** 8)) < 1e-12
 
 
 def _all_brackets(f, lo, hi, n):
@@ -80,22 +107,6 @@ def test_scan_brackets_stops_at_kth_bracket():
         f = lambda x: calls.append(x) or np.sin(x)
         assert scan_brackets(f, 0.1, 10.0, 400, k) == (xs[end - 1], xs[end])
         assert len(calls) == end + 1
-
-
-def test_default_shooting_builds_scan_at_most_40_points(monkeypatch):
-    evals = []
-
-    def counting_scan(f, *args):
-        return rootfind.scan_brackets(lambda x: evals.append(x) or f(x), *args)
-
-    monkeypatch.setattr(sv, "scan_brackets", counting_scan)
-    monkeypatch.setattr(sf, "scan_brackets", counting_scan)
-    for key, cache in (("twisted-annulus", sv._cmetric_mode),
-                       ("kelvin-hyperbolic", sf._radial_mode)):
-        cache.cache_clear()
-        evals.clear()
-        cat.build(key)
-        assert 0 < len(evals) <= 40, key
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +197,7 @@ def test_ck_dispersion_root_rejects_zero_mode():
 
 
 # ---------------------------------------------------------------------------
-# c-metric shooting
+# c-metric collocation
 # ---------------------------------------------------------------------------
 
 
@@ -235,24 +246,45 @@ def test_cmetric_mode_collocation_residual():
 
 
 def test_cmetric_untwisted_annulus_matches_bessel_closed_form():
-    # c = 0, n = 0, m = 1 on [1, 2]: the radial equation is Bessel's, the
-    # eigencondition is the nu = 1 cross-product at the walls, and
+    # c = 0, n = 0 on [1, 2]: the radial equation is Bessel's, the k-th
+    # eigencondition is the k-th root beta of the nu = 1 cross-product at the
+    # walls, alpha = sqrt(beta^2 + m^2), and
     #   g(r) = -alpha beta r (Y1(ba) J1(br) - J1(ba) Y1(br)),  h = g'/(alpha r).
     prof = sv.CMetricProfile.linear(c=0.0, r_lo=1.0, r_hi=2.0)
-    mode = sv.solve_cmetric_mode(prof, n=0, m=1, branch=1)
-    beta = sv.crossproduct_root(1.0, 1.0, 2.0, 1)
-    alpha_ref = np.sqrt(beta ** 2 + 1.0)
-    assert abs(mode.alpha - alpha_ref) < 1e-10
-
     rs = np.linspace(1.0, 2.0, 50)
-    c1, c2 = sf.bessel_y(1, beta * 1.0), -sf.bessel_j(1, beta * 1.0)
-    C = lambda r: c1 * sf.bessel_j(0, beta * r) + c2 * sf.bessel_y(0, beta * r)
-    dC = lambda r: -beta * (c1 * sf.bessel_j(1, beta * r) + c2 * sf.bessel_y(1, beta * r))
-    g_ref = alpha_ref * rs * dC(rs)
-    h_ref = -beta ** 2 * C(rs)
-    scale = mode.g(rs[25]) / g_ref[25]
-    assert np.max(np.abs(mode.g(rs) - scale * g_ref)) < 1e-8 * np.max(np.abs(g_ref))
-    assert np.max(np.abs(mode.h(rs) - scale * h_ref)) < 1e-8 * np.max(np.abs(h_ref))
+    for m in (1, 2):
+        for branch in (1, 2, 3):
+            mode = sv.solve_cmetric_mode(prof, n=0, m=m, branch=branch)
+            beta = sv.crossproduct_root(1.0, 1.0, 2.0, branch)
+            alpha_ref = np.sqrt(beta ** 2 + m ** 2)
+            assert abs(mode.alpha - alpha_ref) < 1e-10
+
+            c1, c2 = sf.bessel_y(1, beta * 1.0), -sf.bessel_j(1, beta * 1.0)
+            C = lambda r: c1 * sf.bessel_j(0, beta * r) + c2 * sf.bessel_y(0, beta * r)
+            dC = lambda r: -beta * (c1 * sf.bessel_j(1, beta * r) + c2 * sf.bessel_y(1, beta * r))
+            g_ref = alpha_ref * rs * dC(rs)
+            h_ref = -beta ** 2 * C(rs)
+            i = np.argmax(np.abs(g_ref))
+            scale = mode.g(rs[i]) / g_ref[i]
+            assert np.max(np.abs(mode.g(rs) - scale * g_ref)) < 1e-8 * np.max(np.abs(g_ref))
+            assert np.max(np.abs(mode.h(rs) - scale * h_ref)) < 1e-8 * np.max(np.abs(h_ref))
+
+
+def test_cmetric_twisted_branches_match_frozen_values():
+    # c != 0 and n != 0 on the default annulus: the first three branches, as
+    # the earlier shooting solver (scan, bisection, DOP853 at rtol 1e-12)
+    # found them in ascending order.
+    frozen = {(1, 1): (1.2264850206315705, 1.759798517701131,
+                       2.4076779534745123),
+              (-1, 1): (1.3197284438527181, 1.872854878034382,
+                        2.528746149823954),
+              (2, 0): (0.8922304657654546, 1.587218450098219,
+                       2.3109396795341697)}
+    for (n, m), alphas in frozen.items():
+        for branch, alpha in enumerate(alphas, start=1):
+            mode = sv.solve_cmetric_mode(default_profile(), n=n, m=m,
+                                         branch=branch)
+            assert abs(mode.alpha - alpha) < 1e-10 * alpha, (n, m, branch)
 
 
 def test_cmetric_nonaxisymmetric_boundary_condition():
@@ -264,8 +296,17 @@ def test_cmetric_nonaxisymmetric_boundary_condition():
             - mu * mode.g(np.array([r_end]))[0]
         assert abs(val) < 1e-8
     assert mode.alpha > 0
+    # amplitude: (g, h)(r_lo) is the unit vector along (n, mu(r_lo))
+    mu_lo = 1.0 + 0.3 / A0 ** 2
+    start = np.array([mode.g(A0), mode.h(A0)])
+    assert np.max(np.abs(start - np.array([1.0, mu_lo]) / np.hypot(1.0, mu_lo))) < 1e-12
 
 
 def test_cmetric_rejects_degenerate_mode_numbers():
     with pytest.raises(ValueError):
         sv.solve_cmetric_mode(default_profile(), n=0, m=0, branch=1)
+    for c, a, b in [(-0.3, 0.0, 1.0), (-0.3, 2.0, 1.0), (-0.3, 1.0, np.inf),
+                    (np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0)]:
+        with pytest.raises(ValueError):
+            sv.solve_cmetric_mode(sv.CMetricProfile.linear(c, a, b), n=0,
+                                  m=1)

@@ -22,7 +22,6 @@ import pytest
 from scipy.special import lpmv
 
 from eulerwaves import specfun as sf
-from eulerwaves.rootfind import SolverError
 
 mp.mp.dps = 30
 
@@ -266,7 +265,7 @@ def oracle_hyperbolic_beta(n, m, r_max=1.0):
 
     The conical Legendre function is the regular solution of the same radial
     equation with eigenvalue 1/4 + beta^2, evaluated here in arbitrary
-    precision -- fully independent of the package's ODE shooting.
+    precision -- fully independent of the package's collocation solver.
     """
     z = mp.cosh(r_max)
 
@@ -289,9 +288,10 @@ def oracle_hyperbolic_beta(n, m, r_max=1.0):
 
 
 def test_hyperbolic_radial_mode_eigenvalues_match_oracle():
-    for n, m in [(0, 1), (1, 1), (1, 2), (2, 1)]:
-        mode = sf.hyperbolic_radial_mode(n, m)
-        beta_ref = oracle_hyperbolic_beta(n, m)
+    for n, m, r_max in [(0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0),
+                        (1, 6, 1.0), (6, 1, 1.0), (1, 1, 2.0)]:
+        mode = sf.hyperbolic_radial_mode(n, m, r_max=r_max)
+        beta_ref = oracle_hyperbolic_beta(n, m, r_max)
         assert abs(mode.beta - beta_ref) < 1e-8
         assert abs(mode.eigenvalue - (0.25 + beta_ref ** 2)) < 1e-7
 
@@ -322,6 +322,8 @@ def test_hyperbolic_radial_mode_contract():
         vals = mode.value(np.linspace(0.02, 0.999, 4000))
         crossings = np.sum(np.abs(np.diff(np.sign(vals))) > 1)
         assert crossings == m - 1
+        # sign convention: R ~ +r^n, so R > 0 on the first lobe
+        assert vals[0] > 0
         # eigenvalues increase along the mode index
         if m > 1:
             prev = sf.hyperbolic_radial_mode(n, m - 1)
@@ -355,9 +357,12 @@ def test_hyperbolic_radial_mode_rejects_bad_input():
         sf.hyperbolic_radial_mode(0, 0)
     with pytest.raises(ValueError):
         sf.hyperbolic_radial_mode(-1, 1)
+    for r_max in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            sf.hyperbolic_radial_mode(1, 1, r_max=r_max)
 
 
-def test_hyperbolic_radial_mode_cache_key_covers_beta_max():
-    sf.hyperbolic_radial_mode(1, 1)
-    with pytest.raises(SolverError):
-        sf.hyperbolic_radial_mode(1, 1, beta_max=2.0)
+def test_hyperbolic_radial_mode_cache_key_covers_r_max():
+    mode = sf.hyperbolic_radial_mode(1, 1)
+    wide = sf.hyperbolic_radial_mode(1, 1, r_max=2.0)
+    assert wide.r_max == 2.0 and wide.beta != mode.beta
