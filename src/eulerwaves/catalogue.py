@@ -125,6 +125,12 @@ class ExactSolution:
     psi_wave: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.rho) and math.isfinite(self.sigma)):
+            raise ConstructionError(
+                f"{self.key} needs a finite amplitude rho and phase sigma, "
+                f"got rho={self.rho!r}, sigma={self.sigma!r}")
+
     # -- basic descriptors ---------------------------------------------------
 
     @property
@@ -269,6 +275,31 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
+def _on_distinct(profile, x):
+    """``profile(x)`` for an elementwise ``profile`` of a 1D coordinate array,
+    evaluated once per run of equal consecutive values and expanded back.
+
+    Tensor grids and the FD stencils built on them repeat each value of the
+    slowest chart axis in one run, so a radial profile on 576 or 1728 points
+    sees 24 or 12 values.  A batch whose first two values differ (random
+    points, a tracer ensemble, a grid whose bounded axis is the fast one)
+    goes to ``profile`` whole, without a scan for runs.  ``profile`` may
+    return one array or a tuple of arrays; either comes back bit-identical
+    to ``profile(x)``.
+    """
+    if x.size < 2 or x[0] != x[1]:
+        return profile(x)
+    bound = np.empty(x.size + 1, dtype=bool)
+    bound[0] = bound[-1] = True
+    np.not_equal(x[1:], x[:-1], out=bound[1:-1])
+    edges = bound.nonzero()[0]  # the start of each run, then x.size
+    out = profile(x[edges[:-1]])
+    counts = edges[1:] - edges[:-1]
+    if isinstance(out, tuple):
+        return tuple(v.repeat(counts) for v in out)
+    return out.repeat(counts)
+
+
 # ---------------------------------------------------------------------------
 # flat torus
 # ---------------------------------------------------------------------------
@@ -337,15 +368,20 @@ def kelvin_disk(n: int = 1, m: int = 1,
         stream=psi0, inertia_image=constant_field((0.0, 0.0)),
         label="rigid rotation")
 
+    def bessel(r):
+        return sf.bessel_j(nu, beta * r)
+
+    def bessel_pair(r):
+        return sf.bessel_j(nu, beta * r), sf.bessel_j_prime(nu, beta * r)
+
     def zfunc(t, pts):
         r, th = pts[:, 0], pts[:, 1]
         e = np.exp(1j * n * th)
-        J = sf.bessel_j(nu, beta * r)
-        Jp = sf.bessel_j_prime(nu, beta * r)
+        J, Jp = _on_distinct(bessel_pair, r)
         return np.stack([(1j * n / r) * J * e, -(beta / r) * Jp * e], axis=-1)
 
     def psi(t, pts):
-        return sf.bessel_j(nu, beta * pts[:, 0]) * np.exp(1j * n * pts[:, 1])
+        return _on_distinct(bessel, pts[:, 0]) * np.exp(1j * n * pts[:, 1])
 
     spectral = _spectral(alpha=beta ** 2, zeta=n, lam=0.0,
                          lam_exact=Fraction(0))
@@ -386,15 +422,20 @@ def rossby_sphere(n: int = 1, m: int = 2,
         stream=psi0, inertia_image=constant_field((2.0, 0.0)),
         label="solid rotation")
 
+    def legendre(phi):
+        return sf.assoc_legendre(m, nu, np.cos(phi))
+
+    def legendre_pair(phi):
+        return sf.assoc_legendre(m, nu, np.cos(phi), derivative=True)
+
     def zfunc(t, pts):
         th, phi = pts[:, 0], pts[:, 1]
-        x = np.cos(phi)
-        P, dP = sf.assoc_legendre(m, nu, x, derivative=True)
+        P, dP = _on_distinct(legendre_pair, phi)
         e = np.exp(1j * n * th)
         return np.stack([-dP * e, (-1j * n / np.sin(phi)) * P * e], axis=-1)
 
     def psi(t, pts):
-        return (sf.assoc_legendre(m, nu, np.cos(pts[:, 1]))
+        return (_on_distinct(legendre, pts[:, 1])
                 * np.exp(1j * n * pts[:, 0]))
 
     spectral = _spectral(alpha=m * (m + 1), zeta=n,
@@ -440,15 +481,18 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
         stream=psi0, inertia_image=constant_field((0.0, -2.0)),
         label="hyperbolic rotation")
 
+    def radial_pair(r):
+        return mode.value(r), mode.derivative(r)
+
     def zfunc(t, pts):
         r, th = pts[:, 0], pts[:, 1]
         e = np.exp(1j * n * th)
         s = np.sinh(r)
-        return np.stack([(1j * n / s) * mode.value(r) * e,
-                         -(mode.derivative(r) / s) * e], axis=-1)
+        R, dR = _on_distinct(radial_pair, r)
+        return np.stack([(1j * n / s) * R * e, -(dR / s) * e], axis=-1)
 
     def psi(t, pts):
-        return mode.value(pts[:, 0]) * np.exp(1j * n * pts[:, 1])
+        return _on_distinct(mode.value, pts[:, 0]) * np.exp(1j * n * pts[:, 1])
 
     lam = -2.0 * n / E
     spectral = _spectral(alpha=E, zeta=n, lam=lam,
@@ -493,7 +537,7 @@ def _s3_curl_eigenfield(j: int, k: int, d: int, alpha: int,
 
     def zfunc(t, pts):
         chi, th, ph = pts[:, 0], pts[:, 1], pts[:, 2]
-        C, dC = profile(chi)
+        C, dC = _on_distinct(profile, chi)
         e = np.exp(1j * (j * th + k * ph))
         f = C * e
         tanx = np.tan(chi)
@@ -634,11 +678,13 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
         3, lambda t, p: np.broadcast_to([0.0, 1.0, 0.0], (p.shape[0], 3)).copy(),
         inertia_image=constant_field((0.0, 0.0, 2.0)), label="rigid rotation")
 
+    def bessel_pair(r):
+        return sf.bessel_j(n, beta * r), sf.bessel_j_prime(n, beta * r)
+
     def zfunc(t, pts):
         r, th, zz = pts[:, 0], pts[:, 1], pts[:, 2]
         e = np.exp(1j * (n * th + m * zz))
-        J = sf.bessel_j(n, beta * r)
-        Jp = sf.bessel_j_prime(n, beta * r)
+        J, Jp = _on_distinct(bessel_pair, r)
         g = beta * alpha * r * Jp + n * m * J
         return np.stack([
             -1j * (m * beta * Jp + (n * alpha / r) * J) * e,
@@ -688,7 +734,7 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
     profile = solvers.CMetricProfile.linear(c, float(r_lo), float(r_hi))
     try:
         mode = solvers.solve_cmetric_mode(profile, n, m, branch=branch)
-    except solvers.SolverError as exc:
+    except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
     alpha = mode.alpha
     M = geo.cmetric_chart(profile.phi, profile.dphi, c, float(r_lo),
@@ -698,18 +744,18 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
         3, lambda t, p: np.broadcast_to([0.0, 1.0, 0.0], (p.shape[0], 3)).copy(),
         inertia_image=constant_field((0.0, 0.0, 2.0)), label="angular rotation")
 
+    def radial(r):
+        ph = np.asarray(profile.phi(r), dtype=float)
+        dph = np.asarray(profile.dphi(r), dtype=float)
+        g, h = mode.g(r), mode.h(r)
+        return (mode.f(r), g / ph ** 2 - c * h / (dph ** 2 * ph ** 2),
+                h / dph ** 2)
+
     def zfunc(t, pts):
         r, th, zz = pts[:, 0], pts[:, 1], pts[:, 2]
         e = np.exp(1j * (n * th + m * zz))
-        ph = np.asarray(profile.phi(r), dtype=float)
-        dph = np.asarray(profile.dphi(r), dtype=float)
-        g = mode.g(r)
-        h = mode.h(r)
-        return np.stack([
-            1j * mode.f(r) * e,
-            (g / ph ** 2 - c * h / (dph ** 2 * ph ** 2)) * e,
-            (h / dph ** 2) * e,
-        ], axis=-1)
+        f, z_th, z_z = _on_distinct(radial, r)
+        return np.stack([1j * f * e, z_th * e, z_z * e], axis=-1)
 
     ksq = alpha ** 2 - m ** 2
     nusq = 1.0 + 2.0 * alpha * c

@@ -491,3 +491,64 @@ def test_evaluators_match_written_out_phase_rotation():
 
         replace(sol, wave=counting).velocity(0.7, pts)
         assert calls == [0.7], key
+
+
+def _row_by_row(f, t, pts):
+    return np.concatenate([f(t, pts[i:i + 1]) for i in range(len(pts))])
+
+
+def test_batched_evaluators_equal_row_by_row_bit_for_bit():
+    # A radial profile is evaluated once per run of equal radii and then
+    # repeated: on the tensor grid, on the FD stencil's shifted copies of it
+    # and on a mixed batch, every evaluator must equal its row-by-row value
+    # exactly, so report bytes cannot move.
+    rng = np.random.default_rng(4)
+    for key in cat.catalogue_keys():
+        sol = cat.build(key, rho=0.7, sigma=0.4)
+        M = sol.manifold
+        grid = M.interior_grid((6,) * M.dim)
+        h = M.fd_steps()
+        batches = [grid]
+        for axis in range(M.dim):
+            for step in (-2.0, -1.0, 1.0, 2.0):
+                shifted = grid.copy()
+                shifted[:, axis] += step * h[axis]
+                batches.append(shifted)
+        batches.append(np.concatenate([grid, M.random_interior(20, rng)]))
+        evaluators = [sol.wave, sol.velocity, sol.linearized]
+        if sol.psi_wave is not None:
+            evaluators.append(sol.psi_wave)
+        for pts in batches:
+            for f in evaluators:
+                assert np.array_equal(f(0.7, pts), _row_by_row(f, 0.7, pts)), \
+                    (key, f)
+
+
+@pytest.mark.parametrize("builder, shape", [(cat.kelvin_disk, (24, 24)),
+                                            (cat.ck_cylinder, (12, 12, 12))])
+def test_bessel_profile_runs_once_per_distinct_radius(monkeypatch, builder,
+                                                      shape):
+    sol = builder()
+    sizes = []
+
+    def counting(nu, x):
+        sizes.append(np.size(x))
+        return jv(nu, x)
+
+    monkeypatch.setattr(sf, "bessel_j", counting)
+    sol.velocity(0.7, sol.manifold.interior_grid(shape))
+    assert sizes == [shape[0]]
+
+
+@pytest.mark.parametrize("key", cat.catalogue_keys())
+def test_builders_reject_non_finite_amplitude_and_phase(key):
+    for bad in ({"rho": float("nan")}, {"rho": float("inf")},
+                {"sigma": float("nan")}, {"sigma": -float("inf")}):
+        with pytest.raises(cat.ConstructionError, match="finite"):
+            cat.build(key, **bad)
+
+
+def test_annulus_rejects_non_finite_twist_and_walls():
+    for bad in ({"c": float("nan")}, {"r_hi": float("inf")}):
+        with pytest.raises(cat.ConstructionError, match="finite"):
+            cat.twisted_annulus(**bad)

@@ -134,6 +134,15 @@ def test_verify_degenerate_construction_exits_2(capsys):
                    "--times", "0.7")
     assert code == 2
     assert "r_max" in capsys.readouterr().err
+    for key, flag in [("kelvin-disk", "--rho=nan"),
+                      ("kelvin-disk", "--sigma=inf"),
+                      ("twisted-annulus", "--c=nan"),
+                      ("twisted-annulus", "--r_hi=inf")]:
+        grid = "6,6" if key == "kelvin-disk" else "4,4,4"
+        code = run_cli("verify", key, flag, "--grid", grid, "--times", "0.7")
+        assert code == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: ") and "finite" in err
 
 
 def test_verify_missing_radial_mode_exits_2(capsys):

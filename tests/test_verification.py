@@ -194,6 +194,31 @@ def test_skew_adjoint_battery():
     assert by_name["skew-adjoint-polarized"].sup <= 1e-8
 
 
+def test_fourier_stream_sums_equal_per_order_formula_bit_for_bit():
+    # one phase per mode serves every derivative order; the sums keep the
+    # per-order accumulation, so they equal the one-order-at-a-time formula
+    def per_order(stream, pts, dx, dy):
+        x, y = pts[:, 0], pts[:, 1]
+        out = np.zeros(pts.shape[0], dtype=complex)
+        for kx, ky, amp in stream.modes:
+            out += (amp * (1j * kx) ** dx * (1j * ky) ** dy
+                    * np.exp(1j * (kx * x + ky * y)))
+        return out.real
+
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    for _ in range(5):
+        stream = ver.FourierStream.random(rng)
+        for (dx, dy), got in zip(orders, stream.sums(pts, orders)):
+            assert np.array_equal(got, per_order(stream, pts, dx, dy))
+        assert np.array_equal(stream.value(pts), per_order(stream, pts, 0, 0))
+        assert np.array_equal(
+            stream.field_values(pts),
+            np.stack([per_order(stream, pts, 0, 1),
+                      -per_order(stream, pts, 1, 0)], axis=-1))
+
+
 def test_fourier_stream_bracket_matches_fd():
     # analytic bracket of skew-gradient fields vs the generic FD bracket
     from eulerwaves import geometry as geo
