@@ -36,6 +36,7 @@ from .catalogue import (  # noqa: E402
     twisted_annulus,
 )
 from .geometry import (  # noqa: E402
+    ChartMetric,
     ChartedManifold,
     flat_disk,
     flat_torus,
@@ -75,6 +76,7 @@ from .verification import (  # noqa: E402
 __all__ = [
     "__version__",
     # geometry
+    "ChartMetric",
     "ChartedManifold",
     "flat_disk",
     "flat_torus",

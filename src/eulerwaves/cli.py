@@ -238,11 +238,12 @@ def cmd_describe(key: str) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     try:
         sol = cat.build(cfg.key, **cfg.params)
+        report = ver.run_verification(sol, grid=cfg.grid, times=cfg.times,
+                                      tolerances=cfg.tolerances,
+                                      seed=cfg.seed)
     except (ConstructionError, SolverError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    report = ver.run_verification(sol, grid=cfg.grid, times=cfg.times,
-                                  tolerances=cfg.tolerances, seed=cfg.seed)
     payload = report.to_json_bytes()
     if cfg.out:
         with open(cfg.out, "wb") as fh:

@@ -1,9 +1,15 @@
 """Charts, metrics and vector calculus on the model geometries.
 
 A manifold is described by a single chart: coordinate ranges, periodicity
-flags, a vectorized metric callable, and markers for chart-singular ends
-(coordinate axes where the chart degenerates, e.g. the origin of polar
-coordinates) and true boundary faces.
+flags, a metric, and markers for chart-singular ends (coordinate axes where
+the chart degenerates, e.g. the origin of polar coordinates) and true
+boundary faces.
+
+A metric is stated once, by its non-zero entries (`ChartMetric`): the
+diagonal, and at most one symmetric off-diagonal pair together with the
+volume density.  sqrt(det g), the inverse metric and index lowering follow
+from those entries in closed form, so no operator builds or inverts a full
+(N, d, d) matrix; the full matrix is assembled only on request.
 
 All differential operators are generic finite-difference routines (4th-order
 central stencils) so that catalogue fields given in closed form can be
@@ -26,6 +32,7 @@ from .fields import StreamFunction, VectorField
 
 __all__ = [
     "BoundaryFace",
+    "ChartMetric",
     "ChartedManifold",
     "fd_partial",
     "field_jacobian",
@@ -82,19 +89,126 @@ class BoundaryFace:
 
 
 @dataclass(frozen=True, eq=False)
+class ChartMetric:
+    """A chart metric stated once, by its non-zero entries.
+
+    ``entries(pts)`` maps (N, dim) chart points to the diagonal g_ii, a
+    tuple of ``dim`` arrays of shape (N,) or floats.  A metric with one
+    symmetric off-diagonal pair names its two axes in ``pair``; its
+    ``entries`` then return ``(diagonal, g_pair, density)``, with the
+    coupling g_ij = g_ji and the volume density sqrt(det g) up to sign
+    (arrays or floats).  Calling the metric assembles the full (N, dim, dim)
+    matrix; the operators use ``at`` instead.
+    """
+
+    dim: int
+    entries: Callable
+    pair: tuple = ()
+
+    def at(self, pts: np.ndarray) -> "MetricEntries":
+        n = pts.shape[0]
+        if self.pair:
+            diag, coupling, density = self.entries(pts)
+            sqrt_det = np.abs(np.broadcast_to(density, (n,)))
+        else:
+            diag, coupling = self.entries(pts), 0.0
+            prod = np.ones(n)
+            for e in diag:
+                prod = prod * e
+            sqrt_det = np.sqrt(prod)
+        return MetricEntries(tuple(diag), self.pair, coupling, sqrt_det)
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        return self.at(pts).matrix()
+
+
+class MetricEntries:
+    """A chart metric at N points, as its non-zero entries.
+
+    ``diag`` holds the d diagonal entries, ``coupling`` the entry g_ij of
+    the axis pair ``pair`` (if any) and ``sqrt_det`` the volume density.
+    The inverse uses the adjugate of the 2x2 pair block over its
+    determinant, sqrt_det^2 divided by the other diagonal entries.
+    """
+
+    __slots__ = ("diag", "pair", "coupling", "sqrt_det")
+
+    def __init__(self, diag, pair, coupling, sqrt_det):
+        self.diag = diag
+        self.pair = pair
+        self.coupling = coupling
+        self.sqrt_det = sqrt_det
+
+    def _pair_inverse(self):
+        """(g^ii, g^jj, g^ij) of the coupled pair (i, j)."""
+        i, j = self.pair
+        block_det = self.sqrt_det ** 2
+        for k, e in enumerate(self.diag):
+            if k not in self.pair:
+                block_det = block_det / e
+        return (self.diag[j] / block_det, self.diag[i] / block_det,
+                -self.coupling / block_det)
+
+    def inverse_row(self, i: int) -> np.ndarray:
+        """The row g^{i.} of the inverse metric, shape (N, d)."""
+        row = np.zeros((self.sqrt_det.shape[0], len(self.diag)))
+        if i in self.pair:
+            inv_ii, inv_jj, inv_ij = self._pair_inverse()
+            a, b = self.pair
+            row[:, a] = inv_ii if i == a else inv_ij
+            row[:, b] = inv_ij if i == a else inv_jj
+        else:
+            row[:, i] = 1.0 / self.diag[i]
+        return row
+
+    def inverse(self) -> np.ndarray:
+        """The inverse metric, shape (N, d, d)."""
+        return np.stack([self.inverse_row(i) for i in range(len(self.diag))],
+                        axis=1)
+
+    def matrix(self) -> np.ndarray:
+        """The full metric, shape (N, d, d)."""
+        d = len(self.diag)
+        g = np.zeros((self.sqrt_det.shape[0], d, d))
+        for k, e in enumerate(self.diag):
+            g[:, k, k] = e
+        if self.pair:
+            i, j = self.pair
+            g[:, i, j] = g[:, j, i] = self.coupling
+        return g
+
+    def lower(self, u: np.ndarray) -> np.ndarray:
+        """g u: the covariant components of a vector field u (N, d)."""
+        cols = [e * u[:, k] for k, e in enumerate(self.diag)]
+        if self.pair:
+            i, j = self.pair
+            cols[i] = cols[i] + self.coupling * u[:, j]
+            cols[j] = cols[j] + self.coupling * u[:, i]
+        return np.stack(cols, axis=-1)
+
+    def norm_sq(self, u: np.ndarray) -> np.ndarray:
+        """g(u, u) per point."""
+        return np.einsum("ni,ni->n", u, self.lower(u))
+
+
+@dataclass(frozen=True, eq=False)
 class ChartedManifold:
     name: str
     dim: int
     coords: tuple
     ranges: tuple
     periodic: tuple
-    metric: Callable[[np.ndarray], np.ndarray]
+    metric: ChartMetric
     singular_lower: tuple = ()
     singular_upper: tuple = ()
     boundaries: tuple = ()
     singular_margin: float = 5e-2
 
     def __post_init__(self):
+        if not isinstance(self.metric, ChartMetric) \
+                or self.metric.dim != self.dim:
+            raise TypeError(f"chart {self.name!r} needs a ChartMetric of "
+                            f"dimension {self.dim}, got {self.metric!r}")
         if not self.singular_lower:
             object.__setattr__(self, "singular_lower", (False,) * self.dim)
         if not self.singular_upper:
@@ -192,19 +306,23 @@ class ChartedManifold:
 
     # -- metric helpers ----------------------------------------------------
 
+    def metric_entries(self, pts: np.ndarray) -> MetricEntries:
+        return self.metric.at(np.atleast_2d(np.asarray(pts, dtype=float)))
+
     def metric_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.metric(np.atleast_2d(np.asarray(pts, dtype=float))))
+        return self.metric_entries(pts).matrix()
 
     def sqrt_det(self, pts: np.ndarray) -> np.ndarray:
-        g = self.metric_at(pts)
-        return np.sqrt(np.linalg.det(g))
+        return self.metric_entries(pts).sqrt_det
 
     def inverse_metric(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(self.metric_at(pts))
+        return self.metric_entries(pts).inverse()
+
+    def lower(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        return self.metric_entries(pts).lower(np.atleast_2d(vals))
 
     def norm_sq(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        g = self.metric_at(pts)
-        return np.einsum("nij,ni,nj->n", g, vals, vals)
+        return self.metric_entries(pts).norm_sq(np.atleast_2d(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +428,7 @@ def curl3(M: ChartedManifold, u, t: float, pts: np.ndarray,
     h = M.fd_steps(h_scale)
 
     def cov(tt, q):
-        return np.einsum("nij,nj->ni", M.metric_at(q), np.asarray(u(tt, q)))
+        return M.lower(q, np.asarray(u(tt, q)))
 
     d = [fd_partial(cov, t, pts, j, h[j]) for j in range(3)]  # d[j][:, k]
     rg = M.sqrt_det(pts)
@@ -331,8 +449,8 @@ def laplace_beltrami(M: ChartedManifold, f, t: float, pts: np.ndarray,
         def F(tt, q):
             df = np.stack([fd_partial(f, tt, q, j, h[j]) for j in range(M.dim)],
                           axis=-1)
-            ginv = M.inverse_metric(q)
-            return M.sqrt_det(q) * np.einsum("nj,nj->n", ginv[:, i, :], df)
+            g = M.metric_entries(q)
+            return g.sqrt_det * np.einsum("nj,nj->n", g.inverse_row(i), df)
         return F
 
     total = np.zeros(pts.shape[0])
@@ -432,12 +550,12 @@ def _quadrature_rule(M: ChartedManifold, refine: int = 1):
 
 def inner_product_quadrature(M: ChartedManifold, u, v, t: float = 0.0,
                              refine: int = 1) -> float:
-    """L2 pairing  int g(u, v) dvol  over the whole chart."""
+    """L2 pairing  int g(u, v) dvol  over the whole chart.  When ``v is u``
+    the field is evaluated once."""
     nodes, weights = _quadrature_rule(M, refine)
     uv = np.asarray(u(t, nodes))
-    vv = np.asarray(v(t, nodes))
-    g = M.metric_at(nodes)
-    integrand = np.einsum("nij,ni,nj->n", g, uv, vv)
+    vv = uv if v is u else np.asarray(v(t, nodes))
+    integrand = np.einsum("ni,ni->n", uv, M.lower(nodes, vv))
     return float(np.sum(integrand * weights))
 
 
@@ -445,10 +563,9 @@ def normal_component(M: ChartedManifold, u, t: float, face: BoundaryFace,
                      pts: np.ndarray) -> np.ndarray:
     """g(u, outward unit normal) sampled on a boundary face."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = M.metric_at(pts)
-    uv = np.asarray(u(t, pts))
-    num = np.einsum("ni,ni->n", g[:, face.axis, :], uv)
-    return face.outward * num / np.sqrt(g[:, face.axis, face.axis])
+    g = M.metric_entries(pts)
+    num = g.lower(np.asarray(u(t, pts)))[:, face.axis]
+    return face.outward * num / np.sqrt(g.diag[face.axis])
 
 
 def boundary_nodes(M: ChartedManifold, face: BoundaryFace, n: int = 64) -> np.ndarray:
@@ -467,14 +584,11 @@ def boundary_nodes(M: ChartedManifold, face: BoundaryFace, n: int = 64) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _diag_metric(*entries):
-    def metric(pts):
-        n = pts.shape[0]
-        g = np.zeros((n, len(entries), len(entries)))
-        for i, e in enumerate(entries):
-            g[:, i, i] = e(pts) if callable(e) else float(e)
-        return g
-    return metric
+def _diag_metric(*entries) -> ChartMetric:
+    """A diagonal metric from its entries: floats or callables of the points."""
+    def diagonal(pts):
+        return tuple(e(pts) if callable(e) else float(e) for e in entries)
+    return ChartMetric(dim=len(entries), entries=diagonal)
 
 
 def flat_torus() -> ChartedManifold:
@@ -598,18 +712,11 @@ def cmetric_chart(phi: Callable[[np.ndarray], np.ndarray],
     """
     c = float(c)
 
-    def metric(pts):
+    def entries(pts):
         r = pts[:, 0]
         f = np.asarray(phi(r), dtype=float)
         fp = np.asarray(dphi(r), dtype=float)
-        n = pts.shape[0]
-        g = np.zeros((n, 3, 3))
-        g[:, 0, 0] = 1.0
-        g[:, 1, 1] = f ** 2
-        g[:, 1, 2] = c
-        g[:, 2, 1] = c
-        g[:, 2, 2] = c ** 2 / f ** 2 + fp ** 2
-        return g
+        return (1.0, f ** 2, c ** 2 / f ** 2 + fp ** 2), c, f * fp
 
     return ChartedManifold(
         name=name,
@@ -617,7 +724,7 @@ def cmetric_chart(phi: Callable[[np.ndarray], np.ndarray],
         coords=("r", "theta", "z"),
         ranges=((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI)),
         periodic=(False, True, True),
-        metric=metric,
+        metric=ChartMetric(dim=3, entries=entries, pair=(1, 2)),
         boundaries=(
             BoundaryFace(axis=0, value=float(r_lo), outward=-1),
             BoundaryFace(axis=0, value=float(r_hi), outward=+1),

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from . import geometry as geo
-from .catalogue import ExactSolution
+from .catalogue import ConstructionError, ExactSolution
 from .fields import StreamFunction, VectorField
 
 __all__ = [
-    "DEFAULT_SEED", "CheckResult", "ResidualReport",
+    "DEFAULT_SEED", "CheckResult", "ResidualReport", "NonFiniteReportError",
     "default_grid", "default_times", "default_tolerances",
     "check_eigen_relations", "euler_residual", "euler_residual_2d",
     "euler_residual_3d", "linearized_residual", "conservation_check",
@@ -141,6 +141,7 @@ class ResidualReport:
     spectral: dict = field(default_factory=dict)
     richardson: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    richardson_linearized: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -158,6 +159,7 @@ class ResidualReport:
             "tolerances": _jsonable(self.tolerances),
             "spectral": _jsonable(self.spectral),
             "richardson": _jsonable(self.richardson),
+            "richardson-linearized": _jsonable(self.richardson_linearized),
             "checks": [
                 {"name": c.name, "sup": float(c.sup), "mean": float(c.mean),
                  "normalizer": float(c.normalizer), "tol": float(c.tol),
@@ -183,20 +185,26 @@ class ResidualReport:
         return lines
 
 
+class NonFiniteReportError(ConstructionError):
+    """Raised by ``run_verification`` when a report value is not finite,
+    typically because an amplitude this large overflows the fields.  The
+    message names the non-finite rows; no strict-JSON report exists."""
+
+
 def _report(sol: ExactSolution, grid, times, tolerances: dict, checks,
             spectral=None, richardson=None, seed: int = DEFAULT_SEED,
-            wall: float = 0.0) -> ResidualReport:
+            wall: float = 0.0, richardson_linearized=None) -> ResidualReport:
     return ResidualReport(
         solution=sol.key, params=dict(sol.params), grid=tuple(grid),
         times=[float(t) for t in times], seed=int(seed),
         tolerances=dict(tolerances), checks=list(checks),
-        spectral=spectral or {}, richardson=richardson or {}, wall_time=wall)
+        spectral=spectral or {}, richardson=richardson or {}, wall_time=wall,
+        richardson_linearized=richardson_linearized or {})
 
 
 def _norms(M: geo.ChartedManifold, pts: np.ndarray,
            vals: np.ndarray) -> np.ndarray:
-    g = M.metric_at(pts)
-    return np.sqrt(np.maximum(np.einsum("nij,ni,nj->n", g, vals, vals), 0.0))
+    return np.sqrt(np.maximum(M.norm_sq(pts, vals), 0.0))
 
 
 def _thread_map(fn, items) -> list:
@@ -434,13 +442,12 @@ def conservation_check(sol: ExactSolution, grid=None, times=None,
     tol_e = _resolve_tol(tol, "energy-conservation", M.dim)
     tol_q = _resolve_tol(tol, "energy-quadrature-agreement", M.dim)
 
-    energies = [geo.inner_product_quadrature(M, sol.velocity, sol.velocity, t)
-                for t in times]
+    u = sol.velocity
+    energies = [geo.inner_product_quadrature(M, u, u, t) for t in times]
     e0 = energies[0]
     drift = np.abs(np.asarray(energies) - e0)
     checks = [_check("energy-conservation", drift, abs(e0), tol_e)]
-    e_fine = geo.inner_product_quadrature(M, sol.velocity, sol.velocity,
-                                          times[0], refine=2)
+    e_fine = geo.inner_product_quadrature(M, u, u, times[0], refine=2)
     checks.append(_check("energy-quadrature-agreement", [abs(e_fine - e0)],
                          abs(e0), tol_q))
     tols = {"energy-conservation": tol_e, "energy-quadrature-agreement": tol_q}
@@ -683,7 +690,13 @@ def stationarity_classifier(sol: ExactSolution, probe_time: float = 0.9,
 
 def run_verification(sol: ExactSolution, grid=None, times=None,
                      tolerances=None, seed: int = DEFAULT_SEED) -> ResidualReport:
-    """Run every applicable check and merge the verdicts into one report."""
+    """Run every applicable check and merge the verdicts into one report.
+
+    The report carries the Richardson blocks of both residuals, under
+    ``richardson`` (Euler) and ``richardson-linearized``.  Raises
+    ``NonFiniteReportError`` (a ``ConstructionError``) naming the rows and
+    block entries that are not finite, since such a report has no strict
+    JSON form."""
     M = sol.manifold
     grid = tuple(grid) if grid is not None else default_grid(M.dim)
     times = list(times) if times is not None else default_times(sol.omega)
@@ -705,12 +718,9 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
 
     observed, stat_diag = _stationarity_probe(sol, seed=seed)
     declared = sol.spectral.classification
-    match = observed == declared
     tols["stationarity"] = _resolve_tol(tolerances, "stationarity", M.dim)
-    checks.append(CheckResult(
-        name="stationarity", sup=0.0 if match else 1.0,
-        mean=0.0 if match else 1.0, normalizer=1.0,
-        tol=tols["stationarity"], passed=match))
+    checks.append(_check("stationarity", float(observed != declared), 1.0,
+                         tols["stationarity"]))
 
     if M.name == "flat-torus":
         battery_tol = _resolve_tol(tolerances, "skew-adjoint-pair", M.dim)
@@ -731,6 +741,18 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
         "static-change": stat_diag["static-change"],
         "carried-change": stat_diag["carried-change"],
     }
+    blocks = {"spectral": spectral, "richardson": euler.richardson,
+              "richardson-linearized": linear.richardson}
+    bad = [c.name for c in checks
+           if not np.isfinite([c.sup, c.mean, c.normalizer]).all()]
+    bad += [f"{block}.{key}" for block, values in blocks.items()
+            for key, value in values.items()
+            if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise NonFiniteReportError(
+            f"{sol.key}: non-finite report values in {', '.join(bad)}; "
+            f"the fields overflow or are undefined at these parameters")
     return _report(sol, grid, times, tols, checks, spectral=spectral,
                    richardson=euler.richardson, seed=seed,
-                   wall=time.perf_counter() - start)
+                   wall=time.perf_counter() - start,
+                   richardson_linearized=linear.richardson)

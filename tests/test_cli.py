@@ -137,7 +137,8 @@ def test_verify_degenerate_construction_exits_2(capsys):
     for key, flag in [("kelvin-disk", "--rho=nan"),
                       ("kelvin-disk", "--sigma=inf"),
                       ("twisted-annulus", "--c=nan"),
-                      ("twisted-annulus", "--r_hi=inf")]:
+                      ("twisted-annulus", "--r_hi=inf"),
+                      ("kelvin-disk", "--rho=1e308")]:
         grid = "6,6" if key == "kelvin-disk" else "4,4,4"
         code = run_cli("verify", key, flag, "--grid", grid, "--times", "0.7")
         assert code == 2, flag

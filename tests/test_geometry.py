@@ -336,6 +336,54 @@ def test_inertia_operator_requires_structure_in_2d():
 
 
 # ---------------------------------------------------------------------------
+# closed-form metric algebra
+# ---------------------------------------------------------------------------
+
+
+def _all_charts():
+    from eulerwaves.solvers import CMetricProfile
+    profile = CMetricProfile.linear(-0.3, 2 * np.pi / 3, 2 * np.pi)
+    return [geo.flat_torus(), geo.flat_torus3(), geo.flat_disk(),
+            geo.round_sphere(), geo.hyperbolic_disk(), geo.three_sphere(),
+            geo.solid_cylinder(),
+            geo.cmetric_chart(profile.phi, profile.dphi, profile.c,
+                              profile.r_lo, profile.r_hi)]
+
+
+@pytest.mark.parametrize("M", _all_charts(), ids=lambda M: M.name)
+def test_closed_form_metric_algebra_matches_linalg(M):
+    rng = np.random.default_rng(RNG_SEED)
+    pts = M.random_interior(200, rng)
+    u = rng.normal(size=(200, M.dim))
+    g = M.metric_at(pts)
+    assert g.shape == (200, M.dim, M.dim)
+    assert np.array_equal(g, np.transpose(g, (0, 2, 1)))
+
+    def close(got, want):
+        scale = np.maximum(np.abs(want), 1.0)
+        return np.max(np.abs(got - want) / scale) <= 1e-13
+
+    assert close(M.sqrt_det(pts), np.sqrt(np.linalg.det(g)))
+    ginv = M.inverse_metric(pts)
+    assert close(ginv, np.linalg.inv(g))
+    assert close(M.lower(pts, u), np.einsum("nij,nj->ni", g, u))
+    assert close(M.norm_sq(pts, u), np.einsum("nij,ni,nj->n", g, u, u))
+    assert close(ginv @ g, np.broadcast_to(np.eye(M.dim), g.shape))
+
+
+def test_chart_needs_a_chart_metric():
+    disk = geo.flat_disk()
+    with pytest.raises(TypeError):
+        geo.ChartedManifold(name="plain", dim=2, coords=("x", "y"),
+                            ranges=((0.0, 1.0), (0.0, 1.0)),
+                            periodic=(False, False), metric=disk.metric_at)
+    with pytest.raises(TypeError):
+        geo.ChartedManifold(name="wrong-dim", dim=3, coords=("x", "y", "z"),
+                            ranges=((0.0, 1.0),) * 3, periodic=(False,) * 3,
+                            metric=disk.metric)
+
+
+# ---------------------------------------------------------------------------
 # quadrature, boundaries, grids
 # ---------------------------------------------------------------------------
 

@@ -33,6 +33,20 @@ def test_torus_euler_residual_passes():
         # retired at the rounding floor: the halved-step sup must actually
         # sit below the floor estimate that excused it
         assert rep.richardson["sup-half-h"] <= rep.richardson["floor-estimate"]
+    # the full battery carries the Richardson blocks of both residuals
+    full = ver.run_verification(sol, grid=(8, 8), times=[0.7])
+    euler = ver.euler_residual(sol, grid=(8, 8), times=[0.7])
+    linear = ver.linearized_residual(sol, grid=(8, 8), times=[0.7])
+    doc = json.loads(full.to_json_bytes())
+    assert doc["schema"] == 1
+    assert doc["richardson"] == json.loads(euler.to_json_bytes())["richardson"]
+    assert doc["richardson-linearized"] \
+        == json.loads(linear.to_json_bytes())["richardson"]
+    lin = full.richardson_linearized
+    assert set(lin) == {"sup-h", "sup-half-h", "ratio", "floor-estimate"}
+    assert lin["ratio"] is None or lin["ratio"] >= 8.0
+    if lin["ratio"] is None:
+        assert lin["sup-half-h"] <= lin["floor-estimate"]
 
 
 def test_torus_perturbed_frequency_fails():
@@ -304,6 +318,30 @@ def test_non_finite_or_negative_tolerances_rejected():
                                      tolerances=tolerances)
         with pytest.raises(ValueError):
             ver.euler_residual(sol, grid=(8, 8), times=[0.7], tol=bad)
+
+
+def test_stationarity_row_follows_its_tolerance(monkeypatch):
+    sol = cat.kelvin_torus(n=1, m=2)
+    declared = sol.spectral.classification
+    wrong = "stationary" if declared != "stationary" else "genuine"
+    monkeypatch.setattr(ver, "_stationarity_probe", lambda *a, **k: (
+        wrong, {"static-change": 1.0, "carried-change": 1.0}))
+    for tol, passed in ((1.0, True), (0.5, False)):
+        rep = ver.run_verification(sol, grid=(8, 8), times=[0.7],
+                                   tolerances={"stationarity": tol})
+        (row,) = [c for c in rep.checks if c.name == "stationarity"]
+        assert (row.sup, row.normalizer, row.tol) == (1.0, 1.0, tol)
+        assert row.passed is passed
+
+
+def test_overflowing_amplitude_raises_naming_the_rows():
+    sol = cat.kelvin_disk(rho=1e308)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ver.NonFiniteReportError) as info:
+        ver.run_verification(sol, grid=(6, 6), times=[0.7])
+    assert isinstance(info.value, cat.ConstructionError)
+    assert "euler-residual" in str(info.value)
+    assert "eigen-inertia-v" not in str(info.value)
 
 
 def test_tolerance_overrides():
