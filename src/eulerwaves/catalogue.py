@@ -231,19 +231,6 @@ class ExactSolution:
                                               linearized=True, dt=True),
             label=f"{self.key} linearized stream")
 
-    def velocity_field(self) -> VectorField:
-        return VectorField(
-            dim=self.dim, func=self.velocity, dt_func=self.velocity_dt,
-            stream=self.stream_total(), label=f"{self.key} velocity",
-        )
-
-    def linearized_field(self) -> VectorField:
-        return VectorField(
-            dim=self.dim, func=self.linearized, dt_func=self.linearized_dt,
-            stream=self.stream_linearized(),
-            label=f"{self.key} linearized wave",
-        )
-
     # -- falsification helper -------------------------------------------------
 
     def perturbed(self, omega_factor: float) -> "ExactSolution":

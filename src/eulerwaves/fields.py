@@ -44,27 +44,6 @@ class StreamFunction:
             return np.zeros(pts.shape[0])
         return np.asarray(self.dt_func(t, pts), dtype=float)
 
-    def __add__(self, other: "StreamFunction") -> "StreamFunction":
-        if not isinstance(other, StreamFunction) or other.dim != self.dim:
-            return NotImplemented
-        a, b = self, other
-        return StreamFunction(
-            dim=self.dim,
-            func=lambda t, p: a.func(t, p) + b.func(t, p),
-            dt_func=lambda t, p: a.dt(t, p) + b.dt(t, p),
-            label=f"({a.label}+{b.label})",
-        )
-
-    def __rmul__(self, scalar: float) -> "StreamFunction":
-        c = float(scalar)
-        a = self
-        return StreamFunction(
-            dim=self.dim,
-            func=lambda t, p: c * np.asarray(a.func(t, p), dtype=float),
-            dt_func=lambda t, p: c * a.dt(t, p),
-            label=f"{c}*{a.label}",
-        )
-
 
 @dataclass
 class VectorField:
@@ -95,33 +74,6 @@ class VectorField:
         if self.dt_func is None:
             return np.zeros_like(pts)
         return np.asarray(self.dt_func(t, pts), dtype=float)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if not isinstance(other, VectorField) or other.dim != self.dim:
-            return NotImplemented
-        a, b = self, other
-        stream = None
-        if a.stream is not None and b.stream is not None:
-            stream = a.stream + b.stream
-        return VectorField(
-            dim=self.dim,
-            func=lambda t, p: a.func(t, p) + b.func(t, p),
-            dt_func=lambda t, p: a.dt(t, p) + b.dt(t, p),
-            stream=stream,
-            label=f"({a.label}+{b.label})",
-        )
-
-    def __rmul__(self, scalar: float) -> "VectorField":
-        c = float(scalar)
-        a = self
-        stream = None if a.stream is None else c * a.stream
-        return VectorField(
-            dim=self.dim,
-            func=lambda t, p: c * np.asarray(a.func(t, p), dtype=float),
-            dt_func=lambda t, p: c * a.dt(t, p),
-            stream=stream,
-            label=f"{c}*{a.label}",
-        )
 
 
 def constant_field(components, label: str = "") -> VectorField:

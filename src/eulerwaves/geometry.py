@@ -149,16 +149,22 @@ class MetricEntries:
         return (self.diag[j] / block_det, self.diag[i] / block_det,
                 -self.coupling / block_det)
 
-    def inverse_row(self, i: int) -> np.ndarray:
-        """The row g^{i.} of the inverse metric, shape (N, d)."""
-        row = np.zeros((self.sqrt_det.shape[0], len(self.diag)))
+    def inverse_entries(self, i: int) -> tuple:
+        """The entries of the row g^{i.} that can be non-zero, as (j, g^{ij})
+        pairs: the diagonal entry alone, or both entries of the coupled
+        pair when i belongs to it."""
         if i in self.pair:
             inv_ii, inv_jj, inv_ij = self._pair_inverse()
             a, b = self.pair
-            row[:, a] = inv_ii if i == a else inv_ij
-            row[:, b] = inv_ij if i == a else inv_jj
-        else:
-            row[:, i] = 1.0 / self.diag[i]
+            return ((a, inv_ii if i == a else inv_ij),
+                    (b, inv_ij if i == a else inv_jj))
+        return ((i, 1.0 / self.diag[i]),)
+
+    def inverse_row(self, i: int) -> np.ndarray:
+        """The row g^{i.} of the inverse metric, shape (N, d)."""
+        row = np.zeros((self.sqrt_det.shape[0], len(self.diag)))
+        for j, value in self.inverse_entries(i):
+            row[:, j] = value
         return row
 
     def inverse(self) -> np.ndarray:
@@ -445,12 +451,12 @@ def laplace_beltrami(M: ChartedManifold, f, t: float, pts: np.ndarray,
     h = M.fd_steps(h_scale)
 
     def flux(i):
-        # sqrt(g) g^{ij} d_j f evaluated wherever the outer stencil asks
+        # sqrt(g) g^{ij} d_j f evaluated wherever the outer stencil asks,
+        # differentiating only along the axes j where g^{ij} can be non-zero
         def F(tt, q):
-            df = np.stack([fd_partial(f, tt, q, j, h[j]) for j in range(M.dim)],
-                          axis=-1)
             g = M.metric_entries(q)
-            return g.sqrt_det * np.einsum("nj,nj->n", g.inverse_row(i), df)
+            return g.sqrt_det * sum(value * fd_partial(f, tt, q, j, h[j])
+                                    for j, value in g.inverse_entries(i))
         return F
 
     total = np.zeros(pts.shape[0])

@@ -369,7 +369,7 @@ def test_annulus_wave_is_curl_eigenfield_and_tangent():
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
     for face in M.boundaries:
         bpts = geo.boundary_nodes(M, face, 8)
-        nc = geo.normal_component(M, sol.velocity_field(), 0.3, face, bpts)
+        nc = geo.normal_component(M, sol.velocity, 0.3, face, bpts)
         assert np.max(np.abs(nc)) < 1e-8
 
 
@@ -434,16 +434,6 @@ def test_classification_table():
     ]
     for sol, want in table:
         assert sol.spectral.classification == want, sol.key
-
-
-def test_velocity_field_algebra_roundtrip():
-    sol = cat.kelvin_torus(n=1, m=2)
-    U = sol.velocity_field()
-    pts = np.random.default_rng(1).uniform(0, 2 * np.pi, size=(10, 2))
-    doubled = 2.0 * U
-    assert np.allclose(doubled(0.3, pts), 2.0 * U(0.3, pts))
-    summed = U + U
-    assert np.allclose(summed(0.3, pts), 2.0 * U(0.3, pts))
 
 
 def test_evaluators_match_written_out_phase_rotation():

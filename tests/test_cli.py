@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ def test_verify_degenerate_construction_exits_2(capsys):
         assert code == 2, flag
         err = capsys.readouterr().err
         assert err.startswith("construction failed: ") and "finite" in err
+
+
+def test_verify_overflow_exits_2_without_warnings(capsys):
+    # an overflowing amplitude is reported once, as non-finite rows, and
+    # not as numpy warnings on the way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("verify", "kelvin-disk", "--rho", "1e308",
+                       "--grid", "6,6", "--times", "0.7")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("construction failed: ") and "non-finite" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_verify_missing_radial_mode_exits_2(capsys):

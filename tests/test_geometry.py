@@ -371,6 +371,43 @@ def test_closed_form_metric_algebra_matches_linalg(M):
     assert close(ginv @ g, np.broadcast_to(np.eye(M.dim), g.shape))
 
 
+@pytest.mark.parametrize("M", _all_charts(), ids=lambda M: M.name)
+def test_laplace_beltrami_differentiates_only_coupled_axes(M):
+    # The flux of axis i differentiates f only along the axes where g^{i.}
+    # can be non-zero: i alone on a diagonal chart, the (theta, z) pair on
+    # the c-metric.  Four outer stencil points per axis, four inner calls
+    # per differentiated axis.
+    rng = np.random.default_rng(RNG_SEED)
+    pts = M.random_interior(40, rng)
+    k = np.array([1.0, 2.0, 3.0])[:M.dim]
+    calls = []
+
+    def f(t, p):
+        calls.append(p.shape[0])
+        return np.sin(p @ k) * np.cos(p[:, 0]) + 0.5 * p[:, -1]
+
+    got = geo.laplace_beltrami(M, f, 0.3, pts)
+    want_calls = 32 if M.dim == 2 else (80 if M.metric.pair else 48)
+    assert len(calls) == want_calls
+
+    # reference: the full contraction g^{ij} d_j f over every axis j
+    h = M.fd_steps()
+
+    def flux(i):
+        def F(tt, q):
+            df = np.stack([geo.fd_partial(f, tt, q, j, h[j])
+                           for j in range(M.dim)], axis=-1)
+            g = M.metric_entries(q)
+            return g.sqrt_det * np.einsum("nj,nj->n", g.inverse_row(i), df)
+        return F
+
+    total = np.zeros(pts.shape[0])
+    for i in range(M.dim):
+        total += geo.fd_partial(flux(i), 0.3, pts, i, h[i])
+    want = -total / M.sqrt_det(pts)
+    assert np.array_equal(got, want)
+
+
 def test_chart_needs_a_chart_metric():
     disk = geo.flat_disk()
     with pytest.raises(TypeError):

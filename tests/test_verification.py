@@ -8,12 +8,15 @@ tolerances).
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from eulerwaves import catalogue as cat
+from eulerwaves import geometry as geo
 from eulerwaves import verification as ver
+from eulerwaves.fields import StreamFunction, VectorField
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +26,7 @@ from eulerwaves import verification as ver
 
 def test_torus_euler_residual_passes():
     sol = cat.kelvin_torus(n=1, m=2)
-    rep = ver.euler_residual_2d(sol)
+    rep = ver.euler_residual(sol)
     (check,) = [c for c in rep.checks if c.name == "euler-residual"]
     assert check.passed
     assert check.sup / check.normalizer <= 1e-5
@@ -51,7 +54,7 @@ def test_torus_euler_residual_passes():
 
 def test_torus_perturbed_frequency_fails():
     sol = cat.kelvin_torus(n=1, m=2).perturbed(1.1)
-    rep = ver.euler_residual_2d(sol)
+    rep = ver.euler_residual(sol)
     (check,) = [c for c in rep.checks if c.name == "euler-residual"]
     assert not check.passed
     assert check.sup / check.normalizer > 10 * check.tol
@@ -60,17 +63,17 @@ def test_torus_perturbed_frequency_fails():
 def test_sphere_base_flow_alone_is_steady():
     # rho = 0 leaves the pure rotation field; the residual is roundoff-level.
     sol = cat.rossby_sphere(n=1, m=2, rho=0.0)
-    rep = ver.euler_residual_2d(sol)
+    rep = ver.euler_residual(sol)
     (check,) = [c for c in rep.checks if c.name == "euler-residual"]
     assert check.sup / check.normalizer < 1e-10
 
 
 def test_cylinder_euler_residual_3d():
     sol = cat.ck_cylinder(n=1, m=1, branch=1)
-    rep = ver.euler_residual_3d(sol)
+    rep = ver.euler_residual(sol)
     (check,) = [c for c in rep.checks if c.name == "euler-residual"]
     assert check.passed and check.sup / check.normalizer <= 1e-4
-    bad = ver.euler_residual_3d(sol.perturbed(1.1))
+    bad = ver.euler_residual(sol.perturbed(1.1))
     (bad_check,) = [c for c in bad.checks if c.name == "euler-residual"]
     assert bad_check.sup / bad_check.normalizer > 10 * bad_check.tol
 
@@ -78,13 +81,79 @@ def test_cylinder_euler_residual_3d():
 def test_dimension_dispatch_guards():
     two = cat.kelvin_torus(n=1, m=2)
     three = cat.ck_cylinder(n=1, m=1)
-    with pytest.raises(ValueError):
-        ver.euler_residual_2d(three)
-    with pytest.raises(ValueError):
-        ver.euler_residual_3d(two)
     # the dispatcher picks the right form
     assert ver.euler_residual(two).checks[0].passed
     assert ver.euler_residual(three).checks[0].passed
+
+
+def _written_out_residual_at(sol, pts, linearized):
+    """The vorticity-form (2D) and curl-form (3D) residuals, each spelled
+    out on its own, as ``residual_at(t, s) -> (magnitudes, normalizer)``."""
+    M = sol.manifold
+    if M.dim == 2:
+        psi_u = sol.stream_total()
+        psi_v = sol.stream_linearized() if linearized else psi_u
+        dt_psi_v = StreamFunction(2, func=psi_v.dt)
+
+        def residual_at(t, s):
+            def vort_u(tt, pp):
+                return geo.laplace_beltrami(M, psi_u, tt, pp, h_scale=s)
+
+            def vort_v(tt, pp):
+                return geo.laplace_beltrami(M, psi_v, tt, pp, h_scale=s)
+
+            r = (geo.laplace_beltrami(M, dt_psi_v, t, pts, h_scale=s)
+                 + geo.poisson_bracket(M, psi_u, vort_v, t, pts, h_scale=s))
+            if linearized:
+                r = r + geo.poisson_bracket(M, psi_v, vort_u, t, pts,
+                                            h_scale=s)
+            return np.abs(r), float(np.max(np.abs(vort_v(t, pts))))
+        return residual_at
+
+    U = VectorField(3, func=sol.velocity)
+    V = VectorField(3, func=sol.linearized) if linearized else U
+    dtV = VectorField(3, func=sol.linearized_dt if linearized
+                      else sol.velocity_dt)
+
+    def residual_at(t, s):
+        def curl_u(tt, pp):
+            return geo.curl3(M, U, tt, pp, h_scale=s)
+
+        def curl_v(tt, pp):
+            return geo.curl3(M, V, tt, pp, h_scale=s)
+
+        r = (geo.curl3(M, dtV, t, pts, h_scale=s)
+             + geo.lie_bracket(M, U, VectorField(3, func=curl_v), t, pts,
+                               h_scale=s))
+        if linearized:
+            r = r + geo.lie_bracket(M, V, VectorField(3, func=curl_u), t, pts,
+                                    h_scale=s)
+        return ver._norms(M, pts, r), float(np.max(
+            ver._norms(M, pts, curl_v(t, pts))))
+    return residual_at
+
+
+@pytest.mark.parametrize("key, grid", [("kelvin-disk", (8, 8)),
+                                       ("ck-cylinder", (5, 5, 5))])
+def test_one_residual_form_matches_written_out_forms(key, grid):
+    # euler_residual and linearized_residual share one Euler-Arnold sweep;
+    # every value must equal the dimension's own form, spelled out above
+    sol = cat.build(key)
+    times = [0.7, 1.9]
+    pts = sol.manifold.interior_grid(grid)
+    for fn, name, linearized in [
+            (ver.euler_residual, "euler-residual", False),
+            (ver.linearized_residual, "linearized-residual", True)]:
+        rep = fn(sol, grid=grid, times=times)
+        (got,) = rep.checks
+        want, richardson = ver._residual_check(
+            sol.manifold, times, got.tol, name,
+            _written_out_residual_at(sol, pts, linearized))
+        assert got.name == want.name == name
+        assert (got.sup, got.mean, got.normalizer) \
+            == (want.sup, want.mean, want.normalizer)
+        assert got.passed == want.passed
+        assert rep.richardson == richardson
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +411,17 @@ def test_overflowing_amplitude_raises_naming_the_rows():
     assert isinstance(info.value, cat.ConstructionError)
     assert "euler-residual" in str(info.value)
     assert "eigen-inertia-v" not in str(info.value)
+
+
+def test_overflow_is_silent_on_worker_threads(monkeypatch):
+    # the residual times run on two threads; the overflow must still reach
+    # the caller only as NonFiniteReportError
+    monkeypatch.setenv("EULER_WAVES_THREADS", "2")
+    sol = cat.kelvin_disk(rho=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ver.NonFiniteReportError):
+            ver.run_verification(sol, grid=(6, 6), times=[0.7, 1.1])
 
 
 def test_tolerance_overrides():
