@@ -2,10 +2,9 @@
 """Run the complete verification battery over every catalogue entry.
 
 Writes one JSON report per entry when --out-dir is given; otherwise prints
-the check summaries only.  Set EULER_WAVES_THREADS to parallelize the time
-sweeps inside each battery.
+the check summaries only.
 
-Typical runtime is a few minutes single-threaded; the twisted annulus
+Typical runtime is a few minutes; the twisted annulus
 dominates because its radial profiles are Chebyshev interpolants that get
 re-evaluated inside nested finite differences.
 """

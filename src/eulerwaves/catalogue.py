@@ -15,7 +15,9 @@ phase-shifted wave
 
 solves the Euler equations linearised along ``U``.  Each entry stores ``z``
 once, as the complex evaluator ``wave`` (and, on surfaces, its complex stream
-function ``psi_wave``); every real field above is derived from it.
+function ``psi_wave``); every real field above is derived from it.  Both are
+a coefficient profile of the one bounded chart coordinate times a Fourier
+phase e^{i k.x} of the periodic ones, built by ``_separable``.
 
 Constructors return :class:`ExactSolution`; :data:`CATALOGUE` maps the public
 entry keys onto them with their default parameters.
@@ -270,9 +272,8 @@ def _on_distinct(profile, x):
     slowest chart axis in one run, so a radial profile on 576 or 1728 points
     sees 24 or 12 values.  A batch whose first two values differ (random
     points, a tracer ensemble, a grid whose bounded axis is the fast one)
-    goes to ``profile`` whole, without a scan for runs.  ``profile`` may
-    return one array or a tuple of arrays; either comes back bit-identical
-    to ``profile(x)``.
+    goes to ``profile`` whole, without a scan for runs.  The result comes
+    back bit-identical to ``profile(x)``.
     """
     if x.size < 2 or x[0] != x[1]:
         return profile(x)
@@ -280,11 +281,34 @@ def _on_distinct(profile, x):
     bound[0] = bound[-1] = True
     np.not_equal(x[1:], x[:-1], out=bound[1:-1])
     edges = bound.nonzero()[0]  # the start of each run, then x.size
-    out = profile(x[edges[:-1]])
-    counts = edges[1:] - edges[:-1]
-    if isinstance(out, tuple):
-        return tuple(v.repeat(counts) for v in out)
-    return out.repeat(counts)
+    return profile(x[edges[:-1]]).repeat(edges[1:] - edges[:-1], axis=0)
+
+
+def _separable(M: geo.ChartedManifold, k, profile):
+    """The evaluator ``(t, pts) -> profile(x_b) * e^{i k.x}`` of a catalogue
+    eigenfield.
+
+    The base rotation translates the periodic axes and the metric depends on
+    the one bounded axis x_b only, so every wave and wave stream separates.
+    ``k`` holds one integer wavenumber per chart axis (0 on the bounded axis);
+    ``profile`` maps an array of x_b values to their complex coefficients,
+    shape (n,) for a stream or (n, dim) for a field, and runs once per
+    distinct x_b.  On a chart with no bounded axis ``profile`` is the
+    constant coefficient itself: a scalar, or a (1, dim) row for a field.
+    """
+    bounded = [a for a in range(M.dim) if not M.periodic[a]]
+    (a0, k0), *rest = [(a, float(k[a])) for a in range(M.dim)
+                       if M.periodic[a]]
+
+    def evaluate(t, pts):
+        arg = k0 * pts[:, a0]
+        for a, ka in rest:
+            arg = arg + ka * pts[:, a]
+        phase = np.exp(1j * arg)
+        coef = _on_distinct(profile, pts[:, bounded[0]]) if bounded else profile
+        return coef * (phase[:, None] if np.ndim(coef) == 2 else phase)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +331,11 @@ def kelvin_torus(n: int = 1, m: int = 2,
     M = geo.flat_torus()
 
     psi0 = StreamFunction(2, lambda t, p: p[:, 1].copy(), label="y")
-    u0 = VectorField(
-        2, lambda t, p: np.broadcast_to([1.0, 0.0], (p.shape[0], 2)).copy(),
-        stream=psi0, inertia_image=constant_field((0.0, 0.0)),
-        label="unit shear")
-
-    def psi(t, pts):
-        return np.exp(1j * (n * pts[:, 0] + m * pts[:, 1]))
-
-    def zfunc(t, pts):
-        e = psi(t, pts)
-        return np.stack([1j * m * e, -1j * n * e], axis=-1)
+    u0 = constant_field((1.0, 0.0), stream=psi0,
+                        inertia_image=constant_field((0.0, 0.0)),
+                        label="unit shear")
+    psi = _separable(M, (n, m), 1.0)
+    zfunc = _separable(M, (n, m), np.array([[1j * m, -1j * n]]))
 
     spectral = _spectral(alpha=n * n + m * m, zeta=n, lam=0.0,
                          lam_exact=Fraction(0))
@@ -350,25 +368,16 @@ def kelvin_disk(n: int = 1, m: int = 1,
     M = geo.flat_disk()
 
     psi0 = StreamFunction(2, lambda t, p: -0.5 * p[:, 0] ** 2, label="-r^2/2")
-    u0 = VectorField(
-        2, lambda t, p: np.broadcast_to([0.0, 1.0], (p.shape[0], 2)).copy(),
-        stream=psi0, inertia_image=constant_field((0.0, 0.0)),
-        label="rigid rotation")
+    u0 = constant_field((0.0, 1.0), stream=psi0,
+                        inertia_image=constant_field((0.0, 0.0)),
+                        label="rigid rotation")
 
-    def bessel(r):
-        return sf.bessel_j(nu, beta * r)
+    def z_profile(r):
+        J, Jp = sf.bessel_j(nu, beta * r), sf.bessel_j_prime(nu, beta * r)
+        return np.stack([(1j * n / r) * J, -(beta / r) * Jp], axis=-1)
 
-    def bessel_pair(r):
-        return sf.bessel_j(nu, beta * r), sf.bessel_j_prime(nu, beta * r)
-
-    def zfunc(t, pts):
-        r, th = pts[:, 0], pts[:, 1]
-        e = np.exp(1j * n * th)
-        J, Jp = _on_distinct(bessel_pair, r)
-        return np.stack([(1j * n / r) * J * e, -(beta / r) * Jp * e], axis=-1)
-
-    def psi(t, pts):
-        return _on_distinct(bessel, pts[:, 0]) * np.exp(1j * n * pts[:, 1])
+    psi = _separable(M, (0, n), lambda r: sf.bessel_j(nu, beta * r))
+    zfunc = _separable(M, (0, n), z_profile)
 
     spectral = _spectral(alpha=beta ** 2, zeta=n, lam=0.0,
                          lam_exact=Fraction(0))
@@ -404,26 +413,17 @@ def rossby_sphere(n: int = 1, m: int = 2,
     M = geo.round_sphere()
 
     psi0 = StreamFunction(2, lambda t, p: -np.cos(p[:, 1]), label="-cos(phi)")
-    u0 = VectorField(
-        2, lambda t, p: np.broadcast_to([1.0, 0.0], (p.shape[0], 2)).copy(),
-        stream=psi0, inertia_image=constant_field((2.0, 0.0)),
-        label="solid rotation")
+    u0 = constant_field((1.0, 0.0), stream=psi0,
+                        inertia_image=constant_field((2.0, 0.0)),
+                        label="solid rotation")
 
-    def legendre(phi):
-        return sf.assoc_legendre(m, nu, np.cos(phi))
+    def z_profile(phi):
+        P, dP = sf.assoc_legendre(m, nu, np.cos(phi), derivative=True)
+        return np.stack([-dP, (-1j * n / np.sin(phi)) * P], axis=-1)
 
-    def legendre_pair(phi):
-        return sf.assoc_legendre(m, nu, np.cos(phi), derivative=True)
-
-    def zfunc(t, pts):
-        th, phi = pts[:, 0], pts[:, 1]
-        P, dP = _on_distinct(legendre_pair, phi)
-        e = np.exp(1j * n * th)
-        return np.stack([-dP * e, (-1j * n / np.sin(phi)) * P * e], axis=-1)
-
-    def psi(t, pts):
-        return (_on_distinct(legendre, pts[:, 1])
-                * np.exp(1j * n * pts[:, 0]))
+    psi = _separable(M, (n, 0),
+                     lambda phi: sf.assoc_legendre(m, nu, np.cos(phi)))
+    zfunc = _separable(M, (n, 0), z_profile)
 
     spectral = _spectral(alpha=m * (m + 1), zeta=n,
                          lam=float(Fraction(2 * n, m * (m + 1))),
@@ -463,23 +463,17 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     M = geo.hyperbolic_disk(r_max=float(r_max))
 
     psi0 = StreamFunction(2, lambda t, p: -np.cosh(p[:, 0]), label="-cosh(r)")
-    u0 = VectorField(
-        2, lambda t, p: np.broadcast_to([0.0, 1.0], (p.shape[0], 2)).copy(),
-        stream=psi0, inertia_image=constant_field((0.0, -2.0)),
-        label="hyperbolic rotation")
+    u0 = constant_field((0.0, 1.0), stream=psi0,
+                        inertia_image=constant_field((0.0, -2.0)),
+                        label="hyperbolic rotation")
 
-    def radial_pair(r):
-        return mode.value(r), mode.derivative(r)
-
-    def zfunc(t, pts):
-        r, th = pts[:, 0], pts[:, 1]
-        e = np.exp(1j * n * th)
+    def z_profile(r):
         s = np.sinh(r)
-        R, dR = _on_distinct(radial_pair, r)
-        return np.stack([(1j * n / s) * R * e, -(dR / s) * e], axis=-1)
+        return np.stack([(1j * n / s) * mode.value(r),
+                         -(mode.derivative(r) / s)], axis=-1)
 
-    def psi(t, pts):
-        return _on_distinct(mode.value, pts[:, 0]) * np.exp(1j * n * pts[:, 1])
+    psi = _separable(M, (0, n), mode.value)
+    zfunc = _separable(M, (0, n), z_profile)
 
     lam = -2.0 * n / E
     spectral = _spectral(alpha=E, zeta=n, lam=lam,
@@ -500,19 +494,20 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def _s3_curl_eigenfield(j: int, k: int, d: int, alpha: int,
-                        scale: float) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Curl eigenfield on the 3-sphere built from the Hopf-harmonic
-    f = cos^|j| sin^|k| * Jacobi_d(cos 2 chi) * e^{i(j theta + k phi)} in the
-    orthonormal frame adapted to the two Hopf rotations."""
+def _s3_curl_profile(j: int, k: int, d: int, alpha: int,
+                     scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Coefficient profile in chi of the curl eigenfield on the 3-sphere built
+    from the Hopf-harmonic f = cos^|j| sin^|k| * Jacobi_d(cos 2 chi) *
+    e^{i(j theta + k phi)}, in the orthonormal frame adapted to the two Hopf
+    rotations; the field is this profile times e^{i(j theta + k phi)}."""
     p, q = abs(j), abs(k)
     n = j + k
 
     def profile(chi):
-        c2 = np.cos(2.0 * chi)
+        cos2x = np.cos(2.0 * chi)
         cosx, sinx = np.cos(chi), np.sin(chi)
-        J = sf.jacobi_poly(d, q, p, c2)
-        dJ = sf.jacobi_poly_deriv(d, q, p, c2)
+        J = sf.jacobi_poly(d, q, p, cos2x)
+        dJ = sf.jacobi_poly_deriv(d, q, p, cos2x)
         C = cosx ** p * sinx ** q * J
         dpow = np.zeros_like(chi)
         if p:
@@ -520,25 +515,17 @@ def _s3_curl_eigenfield(j: int, k: int, d: int, alpha: int,
         if q:
             dpow += q * cosx ** (p + 1) * sinx ** (q - 1)
         dC = dpow * J + cosx ** p * sinx ** q * dJ * (-2.0 * np.sin(2.0 * chi))
-        return C, dC
-
-    def zfunc(t, pts):
-        chi, th, ph = pts[:, 0], pts[:, 1], pts[:, 2]
-        C, dC = _on_distinct(profile, chi)
-        e = np.exp(1j * (j * th + k * ph))
-        f = C * e
         tanx = np.tan(chi)
         cotx = 1.0 / tanx
-        e1 = dC * e
-        e2 = 1j * (j * tanx - k * cotx) * f
-        e3 = 1j * n * f
-        c1 = alpha * e2 + 1j * n * e1
-        c2 = -alpha * e1 + 1j * n * e2
-        c3 = alpha * alpha * f + 1j * n * e3
+        e2 = 1j * (j * tanx - k * cotx) * C
+        e3 = 1j * n * C
+        c1 = alpha * e2 + 1j * n * dC
+        c2 = -alpha * dC + 1j * n * e2
+        c3 = alpha * alpha * C + 1j * n * e3
         return scale * np.stack(
             [c1, c2 * tanx + c3, -c2 * cotx + c3], axis=-1)
 
-    return zfunc
+    return profile
 
 
 def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
@@ -572,7 +559,8 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
         scale = 1.0 / (2.0 * (n + 1.0))
 
     M = geo.three_sphere()
-    zfunc = _s3_curl_eigenfield(j, k, d, alpha, scale)
+    zfunc = _separable(M, (0, j, k),
+                       _s3_curl_profile(j, k, d, alpha, scale))
 
     probe = M.interior_grid((5, 4, 4))
     if np.max(np.abs(zfunc(0.0, probe))) <= 1e-10 * max(1.0, alpha * alpha):
@@ -580,9 +568,9 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
             f"(j, k, d, sign) = ({j}, {k}, {d}, {sign!r}) gives the zero "
             "eigenfield; take the other curl ladder")
 
-    u0 = VectorField(
-        3, lambda t, p: np.broadcast_to([0.0, 1.0, 1.0], (p.shape[0], 3)).copy(),
-        inertia_image=constant_field((0.0, -2.0, -2.0)), label="Hopf rotation")
+    u0 = constant_field((0.0, 1.0, 1.0),
+                        inertia_image=constant_field((0.0, -2.0, -2.0)),
+                        label="Hopf rotation")
 
     lam_exact = Fraction(-2 * n, alpha)
     spectral = _spectral(alpha=alpha, zeta=n, lam=float(lam_exact),
@@ -661,23 +649,15 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
     beta, alpha = solvers.ck_dispersion_root(n, m, branch)
     M = geo.solid_cylinder()
 
-    u0 = VectorField(
-        3, lambda t, p: np.broadcast_to([0.0, 1.0, 0.0], (p.shape[0], 3)).copy(),
-        inertia_image=constant_field((0.0, 0.0, 2.0)), label="rigid rotation")
+    u0 = constant_field((0.0, 1.0, 0.0),
+                        inertia_image=constant_field((0.0, 0.0, 2.0)),
+                        label="rigid rotation")
 
-    def bessel_pair(r):
-        return sf.bessel_j(n, beta * r), sf.bessel_j_prime(n, beta * r)
-
-    def zfunc(t, pts):
-        r, th, zz = pts[:, 0], pts[:, 1], pts[:, 2]
-        e = np.exp(1j * (n * th + m * zz))
-        J, Jp = _on_distinct(bessel_pair, r)
+    def z_profile(r):
+        J, Jp = sf.bessel_j(n, beta * r), sf.bessel_j_prime(n, beta * r)
         g = beta * alpha * r * Jp + n * m * J
-        return np.stack([
-            -1j * (m * beta * Jp + (n * alpha / r) * J) * e,
-            (g / r ** 2) * e,
-            -(beta ** 2) * J * e,
-        ], axis=-1)
+        return np.stack([-1j * (m * beta * Jp + (n * alpha / r) * J),
+                         g / r ** 2, -(beta ** 2) * J], axis=-1)
 
     lam = 2.0 * m / alpha
     spectral = _spectral(alpha=alpha, zeta=n, lam=lam,
@@ -685,8 +665,8 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
     return ExactSolution(
         key="ck-cylinder",
         params={"n": n, "m": m, "branch": branch, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
+        manifold=M, base_flow=u0, wave=_separable(M, (0, n, m), z_profile),
+        spectral=spectral, rho=float(rho), sigma=float(sigma),
         metadata={"beta": float(beta)},
     )
 
@@ -727,22 +707,17 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
     M = geo.cmetric_chart(profile.phi, profile.dphi, c, float(r_lo),
                           float(r_hi), name="twisted-annulus")
 
-    u0 = VectorField(
-        3, lambda t, p: np.broadcast_to([0.0, 1.0, 0.0], (p.shape[0], 3)).copy(),
-        inertia_image=constant_field((0.0, 0.0, 2.0)), label="angular rotation")
+    u0 = constant_field((0.0, 1.0, 0.0),
+                        inertia_image=constant_field((0.0, 0.0, 2.0)),
+                        label="angular rotation")
 
-    def radial(r):
+    def z_profile(r):
         ph = np.asarray(profile.phi(r), dtype=float)
         dph = np.asarray(profile.dphi(r), dtype=float)
         g, h = mode.g(r), mode.h(r)
-        return (mode.f(r), g / ph ** 2 - c * h / (dph ** 2 * ph ** 2),
-                h / dph ** 2)
-
-    def zfunc(t, pts):
-        r, th, zz = pts[:, 0], pts[:, 1], pts[:, 2]
-        e = np.exp(1j * (n * th + m * zz))
-        f, z_th, z_z = _on_distinct(radial, r)
-        return np.stack([1j * f * e, z_th * e, z_z * e], axis=-1)
+        return np.stack([1j * mode.f(r),
+                         g / ph ** 2 - c * h / (dph ** 2 * ph ** 2),
+                         h / dph ** 2], axis=-1)
 
     ksq = alpha ** 2 - m ** 2
     nusq = 1.0 + 2.0 * alpha * c
@@ -759,8 +734,8 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
         params={"m": m, "n": n, "c": c, "r_lo": float(r_lo),
                 "r_hi": float(r_hi), "branch": branch,
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma), metadata=meta,
+        manifold=M, base_flow=u0, wave=_separable(M, (0, n, m), z_profile),
+        spectral=spectral, rho=float(rho), sigma=float(sigma), metadata=meta,
     )
 
 

@@ -51,7 +51,6 @@ class VectorField:
 
     Optional extras carried along when known in closed form:
 
-    * ``dt_func``  -- analytic time derivative (defaults to zero),
     * ``stream``   -- 2D stream function with u = skew-gradient(stream),
     * ``inertia_image`` -- the closed-form image of u under the inertia
       operator (Hodge Laplacian in 2D, curl in 3D), used for base flows
@@ -60,7 +59,6 @@ class VectorField:
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
-    dt_func: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     stream: Optional[StreamFunction] = None
     inertia_image: Optional["VectorField"] = None
     label: str = ""
@@ -69,19 +67,17 @@ class VectorField:
         vals = np.asarray(self.func(t, _as_points(pts, self.dim)), dtype=float)
         return vals
 
-    def dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        pts = _as_points(pts, self.dim)
-        if self.dt_func is None:
-            return np.zeros_like(pts)
-        return np.asarray(self.dt_func(t, pts), dtype=float)
 
-
-def constant_field(components, label: str = "") -> VectorField:
-    """Field with constant chart components (e.g. a coordinate rotation)."""
+def constant_field(components, label: str = "",
+                   stream: Optional[StreamFunction] = None,
+                   inertia_image: Optional[VectorField] = None) -> VectorField:
+    """Field with constant chart components (e.g. a coordinate rotation),
+    with its stream function and inertia image when given."""
     comp = np.asarray(components, dtype=float)
     dim = comp.size
 
     def func(t, pts):
         return np.broadcast_to(comp, (pts.shape[0], dim)).copy()
 
-    return VectorField(dim=dim, func=func, label=label)
+    return VectorField(dim=dim, func=func, stream=stream,
+                       inertia_image=inertia_image, label=label)

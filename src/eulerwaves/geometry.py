@@ -393,10 +393,7 @@ def skew_gradient(M: ChartedManifold, psi: StreamFunction,
     def func(t, pts):
         return skew_gradient_values(M, psi, t, pts, h_scale)
 
-    def dt_func(t, pts):
-        return skew_gradient_values(M, lambda tt, pp: psi.dt(tt, pp), t, pts, h_scale)
-
-    return VectorField(dim=2, func=func, dt_func=dt_func, stream=psi,
+    return VectorField(dim=2, func=func, stream=psi,
                        label=f"skew_grad({psi.label})")
 
 

@@ -120,11 +120,7 @@ def assoc_legendre(deg: int, order: int, x, derivative: bool = False):
     if not derivative:
         return p
     # (1-x^2) dP_l^m/dx = (l+m) P_{l-1}^m - l x P_l^m
-    if deg == order:
-        below = np.zeros_like(x) if deg == 0 else assoc_legendre(deg - 1, order, x) \
-            if order <= deg - 1 else np.zeros_like(x)
-    else:
-        below = p_prev
+    below = p_prev if deg > order else np.zeros_like(x)  # P_{m-1}^m = 0
     dp = ((deg + order) * below - deg * x * p) / (1.0 - x ** 2)
     return p, dp
 

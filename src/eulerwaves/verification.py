@@ -9,12 +9,9 @@ identical configuration always produces identical bytes.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -207,24 +204,6 @@ def _norms(M: geo.ChartedManifold, pts: np.ndarray,
     return np.sqrt(np.maximum(M.norm_sq(pts, vals), 0.0))
 
 
-def _thread_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, on EULER_WAVES_THREADS threads when that
-    is set above one (unset or unparsable means serial)."""
-    raw = os.environ.get("EULER_WAVES_THREADS", "")
-    try:
-        workers = max(int(raw), 0)
-    except ValueError:
-        workers = 0
-    if workers > 1 and len(items) > 1:
-        # each item runs in its own copy of the caller's context, so an
-        # np.errstate around the call holds in the worker threads too
-        contexts = [contextvars.copy_context() for _ in items]
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as ex:
-            return list(ex.map(lambda ctx, x: ctx.run(fn, x), contexts,
-                               items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # eigen relations
 # ---------------------------------------------------------------------------
@@ -289,10 +268,10 @@ def _residual_check(M, times, tol_value, name, residual_at):
     generous multiple of eps * normalizer / h^depth the ratio is meaningless
     and is reported as null alongside the floor estimate that retired it.
     """
-    results = _thread_map(lambda t: residual_at(t, 1.0), times)
+    results = [residual_at(t, 1.0) for t in times]
     mags = np.concatenate([r[0] for r in results])
     normalizer = max(r[1] for r in results)
-    halved = _thread_map(lambda t: residual_at(t, 0.5), times)
+    halved = [residual_at(t, 0.5) for t in times]
     sup_h = float(np.max(mags)) if mags.size else 0.0
     sup_h2 = float(max(np.max(r[0]) for r in halved))
     depth = 3 if M.dim == 2 else 2

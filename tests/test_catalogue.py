@@ -15,6 +15,7 @@ from scipy.special import jv, jvp
 
 from eulerwaves import catalogue as cat
 from eulerwaves import geometry as geo
+from eulerwaves import solvers
 from eulerwaves import specfun as sf
 
 
@@ -514,20 +515,72 @@ def test_batched_evaluators_equal_row_by_row_bit_for_bit():
                     (key, f)
 
 
+# The profile core of each entry, and how often one wave evaluation calls it
+# (the twisted annulus reads g once directly and once through f).
+_PROFILE_CORES = {
+    cat.kelvin_disk: (sf, "bessel_j", 1),
+    cat.ck_cylinder: (sf, "bessel_j", 1),
+    cat.kelvin_hyperbolic: (sf.RadialMode, "value", 1),
+    cat.rossby_s3: (sf, "jacobi_poly", 1),
+    cat.twisted_annulus: (solvers.CMetricMode, "g", 2),
+}
+
+
 @pytest.mark.parametrize("builder, shape", [(cat.kelvin_disk, (24, 24)),
-                                            (cat.ck_cylinder, (12, 12, 12))])
+                                            (cat.ck_cylinder, (12, 12, 12)),
+                                            (cat.kelvin_hyperbolic, (24, 24)),
+                                            (cat.rossby_s3, (12, 12, 12)),
+                                            (cat.twisted_annulus, (6, 6, 6))])
 def test_bessel_profile_runs_once_per_distinct_radius(monkeypatch, builder,
                                                       shape):
     sol = builder()
+    owner, name, calls = _PROFILE_CORES[builder]
+    core = getattr(owner, name)
     sizes = []
 
-    def counting(nu, x):
-        sizes.append(np.size(x))
-        return jv(nu, x)
+    def counting(*args):
+        sizes.append(np.size(args[-1]))
+        return core(*args)
 
-    monkeypatch.setattr(sf, "bessel_j", counting)
+    monkeypatch.setattr(owner, name, counting)
     sol.velocity(0.7, sol.manifold.interior_grid(shape))
-    assert sizes == [shape[0]]
+    assert sizes == [shape[0]] * calls
+
+
+# Entry parameters with a non-zero wavenumber on every periodic axis where
+# the entry allows one, and the wavenumbers (0 on the bounded axis).
+_WAVENUMBERS = {
+    "kelvin-torus": ({"n": 2, "m": -3}, (2, -3)),
+    "kelvin-disk": ({"n": -2}, (0, -2)),
+    "rossby-sphere": ({"n": 2, "m": 3}, (2, 0)),
+    "kelvin-hyperbolic": ({"n": 2}, (0, 2)),
+    "rossby-s3": ({"j": 1, "k": 2}, (0, 1, 2)),
+    "ck-cylinder": ({"n": 2, "m": 1}, (0, 2, 1)),
+    "twisted-annulus": ({"n": 1, "m": 1}, (0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("key", cat.catalogue_keys())
+def test_periodic_shift_multiplies_the_wave_by_its_phase(key):
+    # every eigenfield is a profile of the bounded coordinate times
+    # e^{i k.x}: a shift by s along periodic axis a multiplies it by
+    # e^{i k_a s}
+    params, k = _WAVENUMBERS[key]
+    sol = cat.build(key, **params)
+    M = sol.manifold
+    pts = M.interior_grid((5,) * M.dim)
+    evaluators = [sol.wave]
+    if sol.psi_wave is not None:
+        evaluators.append(sol.psi_wave)
+    for axis in [a for a in range(M.dim) if M.periodic[a]]:
+        for s in (0.37, -1.3):
+            shifted = pts.copy()
+            shifted[:, axis] += s
+            for f in evaluators:
+                ref = f(0.7, pts)
+                got = f(0.7, shifted)
+                err = np.max(np.abs(got - np.exp(1j * k[axis] * s) * ref))
+                assert err <= 1e-13 * np.max(np.abs(ref)), (key, axis, s)
 
 
 @pytest.mark.parametrize("key", cat.catalogue_keys())

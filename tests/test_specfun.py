@@ -183,7 +183,7 @@ def test_assoc_legendre_against_scipy_and_mpmath():
 def test_assoc_legendre_derivative_and_ode():
     # derivative against mpmath, then the Legendre ODE residual
     xs = np.linspace(-0.9, 0.9, 19)
-    for deg, order in [(2, 1), (3, 2), (5, 1), (6, 4)]:
+    for deg, order in [(0, 0), (1, 1), (3, 3), (2, 1), (3, 2), (5, 1), (6, 4)]:
         P, dP = sf.assoc_legendre(deg, order, xs, derivative=True)
         for x, d in zip(xs, dP):
             ref = float(mp.diff(lambda t: mp.legenp(deg, order, t), mp.mpf(x)))
