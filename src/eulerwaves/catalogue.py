@@ -15,9 +15,10 @@ phase-shifted wave
 
 solves the Euler equations linearised along ``U``.  Each entry stores ``z``
 once, as the complex evaluator ``wave`` (and, on surfaces, its complex stream
-function ``psi_wave``); every real field above is derived from it.  Both are
-a coefficient profile of the one bounded chart coordinate times a Fourier
-phase e^{i k.x} of the periodic ones, built by ``_separable``.
+function ``psi_wave``); every real field above is derived from it, and no
+separate real and imaginary part is built.  Both are a coefficient profile
+of the one bounded chart coordinate times a Fourier phase e^{i k.x} of the
+periodic ones, built by ``_separable``.
 
 Constructors return :class:`ExactSolution`; :data:`CATALOGUE` maps the public
 entry keys onto them with their default parameters.
@@ -111,8 +112,8 @@ class ExactSolution:
     complex array.  On surfaces the stream functions ``psi_base`` and
     ``psi_wave`` (the complex stream of ``z``, shape (N,)) are carried along
     so vorticity-form residuals can be evaluated without inverting the
-    inertia operator.  The real and imaginary parts of ``z`` are available as
-    the derived fields ``wave_re`` and ``wave_im``.
+    inertia operator.  No re/im pair of ``z`` is kept: the velocity, its
+    linearisation and the eigen checks all act on ``z`` itself.
     """
 
     key: str
@@ -152,26 +153,6 @@ class ExactSolution:
 
     def phase(self, t: float) -> float:
         return self.sigma + self.spectral.omega * float(t)
-
-    @property
-    def wave_re(self) -> VectorField:
-        """Real part v of the eigenfield z = v + i w."""
-        return self._part("re", np.real)
-
-    @property
-    def wave_im(self) -> VectorField:
-        """Imaginary part w of the eigenfield z = v + i w."""
-        return self._part("im", np.imag)
-
-    def _part(self, name: str, take) -> VectorField:
-        stream = None
-        if self.psi_wave is not None:
-            stream = StreamFunction(
-                2, lambda t, p: take(self.psi_wave(t, p)),
-                label=f"{self.key} wave stream ({name})")
-        return VectorField(
-            dim=self.dim, func=lambda t, p: take(self.wave(t, p)),
-            stream=stream, label=f"{self.key} wave ({name})")
 
     # -- the solution and its linearisation ----------------------------------
 
@@ -331,8 +312,7 @@ def kelvin_torus(n: int = 1, m: int = 2,
     M = geo.flat_torus()
 
     psi0 = StreamFunction(2, lambda t, p: p[:, 1].copy(), label="y")
-    u0 = constant_field((1.0, 0.0), stream=psi0,
-                        inertia_image=constant_field((0.0, 0.0)),
+    u0 = constant_field((1.0, 0.0), inertia_image=constant_field((0.0, 0.0)),
                         label="unit shear")
     psi = _separable(M, (n, m), 1.0)
     zfunc = _separable(M, (n, m), np.array([[1j * m, -1j * n]]))
@@ -368,8 +348,7 @@ def kelvin_disk(n: int = 1, m: int = 1,
     M = geo.flat_disk()
 
     psi0 = StreamFunction(2, lambda t, p: -0.5 * p[:, 0] ** 2, label="-r^2/2")
-    u0 = constant_field((0.0, 1.0), stream=psi0,
-                        inertia_image=constant_field((0.0, 0.0)),
+    u0 = constant_field((0.0, 1.0), inertia_image=constant_field((0.0, 0.0)),
                         label="rigid rotation")
 
     def z_profile(r):
@@ -413,8 +392,7 @@ def rossby_sphere(n: int = 1, m: int = 2,
     M = geo.round_sphere()
 
     psi0 = StreamFunction(2, lambda t, p: -np.cos(p[:, 1]), label="-cos(phi)")
-    u0 = constant_field((1.0, 0.0), stream=psi0,
-                        inertia_image=constant_field((2.0, 0.0)),
+    u0 = constant_field((1.0, 0.0), inertia_image=constant_field((2.0, 0.0)),
                         label="solid rotation")
 
     def z_profile(phi):
@@ -463,8 +441,7 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     M = geo.hyperbolic_disk(r_max=float(r_max))
 
     psi0 = StreamFunction(2, lambda t, p: -np.cosh(p[:, 0]), label="-cosh(r)")
-    u0 = constant_field((0.0, 1.0), stream=psi0,
-                        inertia_image=constant_field((0.0, -2.0)),
+    u0 = constant_field((0.0, 1.0), inertia_image=constant_field((0.0, -2.0)),
                         label="hyperbolic rotation")
 
     def z_profile(r):

@@ -49,35 +49,29 @@ class StreamFunction:
 class VectorField:
     """Vector field u(t, x) in contravariant chart components.
 
-    Optional extras carried along when known in closed form:
-
-    * ``stream``   -- 2D stream function with u = skew-gradient(stream),
-    * ``inertia_image`` -- the closed-form image of u under the inertia
-      operator (Hodge Laplacian in 2D, curl in 3D), used for base flows
-      whose image is a listed multiple of a Killing field.
+    ``inertia_image``, when known in closed form, is the image of u under the
+    inertia operator (Hodge Laplacian in 2D, curl in 3D); the base flows
+    carry it as a listed multiple of a Killing field.
     """
 
     dim: int
     func: Callable[[float, np.ndarray], np.ndarray]
-    stream: Optional[StreamFunction] = None
     inertia_image: Optional["VectorField"] = None
     label: str = ""
 
     def __call__(self, t: float, pts: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.func(t, _as_points(pts, self.dim)), dtype=float)
-        return vals
+        return np.asarray(self.func(t, _as_points(pts, self.dim)), dtype=float)
 
 
 def constant_field(components, label: str = "",
-                   stream: Optional[StreamFunction] = None,
                    inertia_image: Optional[VectorField] = None) -> VectorField:
     """Field with constant chart components (e.g. a coordinate rotation),
-    with its stream function and inertia image when given."""
+    with its inertia image when given."""
     comp = np.asarray(components, dtype=float)
     dim = comp.size
 
     def func(t, pts):
         return np.broadcast_to(comp, (pts.shape[0], dim)).copy()
 
-    return VectorField(dim=dim, func=func, stream=stream,
-                       inertia_image=inertia_image, label=label)
+    return VectorField(dim=dim, func=func, inertia_image=inertia_image,
+                       label=label)

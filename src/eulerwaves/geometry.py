@@ -23,12 +23,10 @@ so that eigenvalues on compact domains are positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .fields import StreamFunction, VectorField
 
 __all__ = [
     "BoundaryFace",
@@ -36,7 +34,6 @@ __all__ = [
     "ChartedManifold",
     "fd_partial",
     "field_jacobian",
-    "skew_gradient",
     "skew_gradient_values",
     "divergence_terms",
     "divergence",
@@ -44,7 +41,6 @@ __all__ = [
     "laplace_beltrami",
     "lie_bracket",
     "poisson_bracket",
-    "inertia_operator",
     "inner_product_quadrature",
     "normal_component",
     "flat_torus",
@@ -261,9 +257,8 @@ class ChartedManifold:
 
     def interior_grid(self, shape) -> np.ndarray:
         """Cartesian product grid respecting margins, flattened to (N, dim)."""
-        axes = [self.axis_nodes(i, shape[i]) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _tensor_grid([self.axis_nodes(i, shape[i])
+                             for i in range(self.dim)])
 
     def random_interior(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cols = []
@@ -272,16 +267,24 @@ class ChartedManifold:
             cols.append(rng.uniform(a, b, size=n))
         return np.stack(cols, axis=-1)
 
-    def wrap(self, pts: np.ndarray) -> np.ndarray:
-        out = np.array(pts, dtype=float, copy=True)
-        single = out.ndim == 1
-        if single:
-            out = out.reshape(1, -1)
+    def _fold(self, x, centred: bool) -> np.ndarray:
+        """A copy of the coordinates x (..., dim), each periodic axis taken
+        modulo its span into [lo, hi), or into [-span/2, span/2) if centred."""
+        out = np.array(x, dtype=float, copy=True)
         for axis in range(self.dim):
             if self.periodic[axis]:
                 lo, hi = self.ranges[axis]
-                out[:, axis] = lo + np.mod(out[:, axis] - lo, hi - lo)
-        return out[0] if single else out
+                span = hi - lo
+                start = -span / 2.0 if centred else lo
+                out[..., axis] = start + np.mod(out[..., axis] - start, span)
+        return out
+
+    def wrap(self, pts: np.ndarray) -> np.ndarray:
+        return self._fold(pts, centred=False)
+
+    def shortest_delta(self, a, b) -> np.ndarray:
+        """a - b in coordinates, the shortest way around periodic axes."""
+        return self._fold(np.subtract(a, b, dtype=float), centred=True)
 
     def halt_verdicts(self, pts: np.ndarray) -> dict:
         """The rows of wrapped points (N, dim) that left the usable chart,
@@ -329,6 +332,13 @@ class ChartedManifold:
 
     def norm_sq(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return self.metric_entries(pts).norm_sq(np.atleast_2d(vals))
+
+
+def _tensor_grid(axes) -> np.ndarray:
+    """Cartesian product of 1D node arrays, flattened to (N, len(axes)) with
+    the last axis varying fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +394,6 @@ def skew_gradient_values(M: ChartedManifold, f, t: float, pts: np.ndarray,
     d2 = fd_partial(f, t, pts, 1, h[1])
     rg = M.sqrt_det(pts)
     return np.stack([d2 / rg, -d1 / rg], axis=-1)
-
-
-def skew_gradient(M: ChartedManifold, psi: StreamFunction,
-                  h_scale: float = 1.0) -> VectorField:
-    """Wrap a stream function as the divergence-free field it generates."""
-
-    def func(t, pts):
-        return skew_gradient_values(M, psi, t, pts, h_scale)
-
-    return VectorField(dim=2, func=func, stream=psi,
-                       label=f"skew_grad({psi.label})")
 
 
 def divergence_terms(M: ChartedManifold, u, t: float, pts: np.ndarray,
@@ -456,9 +455,7 @@ def laplace_beltrami(M: ChartedManifold, f, t: float, pts: np.ndarray,
                                     for j, value in g.inverse_entries(i))
         return F
 
-    total = np.zeros(pts.shape[0])
-    for i in range(M.dim):
-        total += fd_partial(flux(i), t, pts, i, h[i])
+    total = sum(fd_partial(flux(i), t, pts, i, h[i]) for i in range(M.dim))
     return -total / M.sqrt_det(pts)
 
 
@@ -491,30 +488,6 @@ def poisson_bracket(M: ChartedManifold, f, g, t: float, pts: np.ndarray,
     return (f2 * g1 - f1 * g2) / M.sqrt_det(pts)
 
 
-def inertia_operator(M: ChartedManifold, u, t: float, pts: np.ndarray,
-                     h_scale: float = 1.0) -> np.ndarray:
-    """Image of a divergence-free field under the inertia operator.
-
-    2D: Hodge Laplacian, computed through the stream function as
-    skew_grad(lap psi); 3D: curl.  Fields carrying a closed-form
-    `inertia_image` (the base rotations) use it directly.
-    """
-    image = getattr(u, "inertia_image", None)
-    if image is not None:
-        return image(t, np.atleast_2d(np.asarray(pts, dtype=float)))
-    if M.dim == 3:
-        return curl3(M, u, t, pts, h_scale)
-    stream = getattr(u, "stream", None)
-    if stream is None:
-        raise ValueError(
-            "2D inertia operator needs a stream function or a closed-form image")
-
-    def vort(tt, q):
-        return laplace_beltrami(M, stream, tt, q, h_scale)
-
-    return skew_gradient_values(M, vort, t, pts, h_scale)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -540,13 +513,8 @@ def _quadrature_rule(M: ChartedManifold, refine: int = 1):
             w = wi * span / 2.0
         node_axes.append(x)
         weight_axes.append(w)
-    mesh = np.meshgrid(*node_axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*weight_axes, indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for w in wmesh:
-        weights = weights * w.ravel()
-    weights = weights * M.sqrt_det(nodes)
+    nodes = _tensor_grid(node_axes)
+    weights = _tensor_grid(weight_axes).prod(axis=1) * M.sqrt_det(nodes)
     cache[key] = (nodes, weights)
     return cache[key]
 
@@ -572,14 +540,8 @@ def normal_component(M: ChartedManifold, u, t: float, face: BoundaryFace,
 
 
 def boundary_nodes(M: ChartedManifold, face: BoundaryFace, n: int = 64) -> np.ndarray:
-    axes = []
-    for axis in range(M.dim):
-        if axis == face.axis:
-            axes.append(np.array([face.value]))
-        else:
-            axes.append(M.axis_nodes(axis, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _tensor_grid([np.array([face.value]) if axis == face.axis
+                         else M.axis_nodes(axis, n) for axis in range(M.dim)])
 
 
 # ---------------------------------------------------------------------------

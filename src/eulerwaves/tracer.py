@@ -55,21 +55,9 @@ def default_step(sol: ExactSolution) -> float:
     return 1e-3 * TWO_PI / max(1.0, abs(sol.omega))
 
 
-def _shortest_delta(M: ChartedManifold, a, b) -> np.ndarray:
-    """Coordinate difference a - b, the shortest way around periodic axes."""
-    delta = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    for axis in range(M.dim):
-        if M.periodic[axis]:
-            lo, hi = M.ranges[axis]
-            span = hi - lo
-            delta[..., axis] = ((delta[..., axis] + span / 2.0) % span
-                                - span / 2.0)
-    return delta
-
-
 def chart_gap(M: ChartedManifold, a, b) -> float:
     """Max-abs coordinate difference, shortest way around periodic axes."""
-    return float(np.max(np.abs(_shortest_delta(M, a, b))))
+    return float(np.max(np.abs(M.shortest_delta(a, b))))
 
 
 def _integrate(sol: ExactSolution, starts: np.ndarray, t0, t1, dt) -> list:
@@ -171,7 +159,7 @@ def closure_test(traj: Trajectory, radius: float) -> Optional[float]:
         raise ValueError("trajectory carries no manifold (parsed from file?)")
     M = traj.manifold
     g0 = M.metric_at(traj.points[:1])[0]
-    delta = _shortest_delta(M, traj.points, traj.points[0])
+    delta = M.shortest_delta(traj.points, traj.points[0])
     dist = np.sqrt(np.maximum(np.einsum("ij,ni,nj->n", g0, delta, delta),
                               0.0))
     away = np.nonzero(dist > 2.0 * radius)[0]

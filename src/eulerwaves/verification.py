@@ -67,6 +67,28 @@ def default_tolerances(dim: int) -> dict:
     }
 
 
+def _resolve_grid(grid, dim: int) -> tuple:
+    """``grid`` as a tuple of ``dim`` integers >= 2, or the default grid."""
+    if grid is None:
+        return default_grid(dim)
+    grid = tuple(grid)
+    if len(grid) != dim or not all(isinstance(n, (int, np.integer))
+                                   and n >= 2 for n in grid):
+        raise ValueError(f"grid needs {dim} integer entries >= 2, got {grid}")
+    return tuple(int(n) for n in grid)
+
+
+def _resolve_times(times, default: list) -> list:
+    """``times`` as a non-empty list of finite floats, or ``default``."""
+    if times is None:
+        return default
+    values = [float(t) for t in times]
+    if not values or not all(math.isfinite(t) for t in values):
+        raise ValueError(f"times must be a non-empty list of finite numbers, "
+                         f"got {times!r}")
+    return values
+
+
 def _resolve_tol(tol, name: str, dim: int) -> float:
     if isinstance(tol, dict):
         tol = tol.get(name)
@@ -211,42 +233,46 @@ def _norms(M: geo.ChartedManifold, pts: np.ndarray,
 
 def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
                           seed: int = DEFAULT_SEED) -> ResidualReport:
-    """Certify the three defining relations of the wave pair (v, w):
+    """Certify the three defining relations of the complex eigenfield z:
 
-    inertia      A v = alpha v,  A w = alpha w
-    advection    [u0, v] = -zeta w,  [u0, w] = zeta v
-    coadjoint    [v, A u0] = lam A w = lam alpha w   (and the w counterpart)
+    inertia      A z = alpha z
+    advection    [u0, z] = i zeta z
+    coadjoint    [z, A u0] = -i lam A z = -i lam alpha z
 
-    The coadjoint form is inverse-free: it is the defining identity composed
-    with the inertia relation, so no elliptic solve is needed.
+    with A = skew_grad lap (through the stream function) on surfaces and
+    the curl in 3D.  Each is evaluated once on z, with no re/im pair of
+    fields: its ``-v`` row is the real part, its ``-w`` row the imaginary
+    part.  The coadjoint form is inverse-free: the defining identity
+    composed with the inertia relation, so no elliptic solve is needed.
     """
     M = sol.manifold
-    grid = tuple(grid) if grid is not None else default_grid(M.dim)
+    grid = _resolve_grid(grid, M.dim)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([M.interior_grid(grid), M.random_interior(200, rng)])
     sp = sol.spectral
-    u0, v, w = sol.base_flow, sol.wave_re, sol.wave_im
+    u0, z = sol.base_flow, sol.wave
 
-    v_vals, w_vals = v(0.0, pts), w(0.0, pts)
-    Av = geo.inertia_operator(M, v, 0.0, pts)
-    Aw = geo.inertia_operator(M, w, 0.0, pts)
-    adv_v = geo.lie_bracket(M, u0, v, 0.0, pts)
-    adv_w = geo.lie_bracket(M, u0, w, 0.0, pts)
-    coad_v = geo.lie_bracket(M, v, u0.inertia_image, 0.0, pts)
-    coad_w = geo.lie_bracket(M, w, u0.inertia_image, 0.0, pts)
+    if M.dim == 2:
+        def vorticity(t, q):
+            return geo.laplace_beltrami(M, sol.psi_wave, t, q)
 
-    la = sp.lam * sp.alpha
+        Az = geo.skew_gradient_values(M, vorticity, 0.0, pts)
+    else:
+        Az = geo.curl3(M, z, 0.0, pts)
+    z_vals = z(0.0, pts)
     relations = [
-        ("eigen-inertia-v", Av, sp.alpha * v_vals),
-        ("eigen-inertia-w", Aw, sp.alpha * w_vals),
-        ("eigen-advection-v", adv_v, -sp.zeta * w_vals),
-        ("eigen-advection-w", adv_w, sp.zeta * v_vals),
-        ("eigen-coadjoint-v", coad_v, la * w_vals),
-        ("eigen-coadjoint-w", coad_w, -la * v_vals),
+        ("eigen-inertia", Az, sp.alpha * z_vals),
+        ("eigen-advection", geo.lie_bracket(M, u0, z, 0.0, pts),
+         1j * sp.zeta * z_vals),
+        ("eigen-coadjoint", geo.lie_bracket(M, z, u0.inertia_image, 0.0, pts),
+         -1j * (sp.lam * sp.alpha) * z_vals),
     ]
-    tols = {name: _resolve_tol(tol, name, M.dim) for name, _, _ in relations}
+    rows = [(f"{stem}-{part}", take(lhs), take(rhs))
+            for stem, lhs, rhs in relations
+            for part, take in (("v", np.real), ("w", np.imag))]
+    tols = {name: _resolve_tol(tol, name, M.dim) for name, _, _ in rows}
     checks = []
-    for name, lhs, rhs in relations:
+    for name, lhs, rhs in rows:
         norm = max(np.max(_norms(M, pts, lhs)), np.max(_norms(M, pts, rhs)))
         checks.append(_check(name, _norms(M, pts, lhs - rhs), norm,
                              tols[name]))
@@ -297,8 +323,8 @@ def _residual(sol: ExactSolution, grid, times, tol, name: str,
     is analytic; sup over grid x times, normalized by sup |A v|.
     """
     M = sol.manifold
-    grid = tuple(grid) if grid is not None else default_grid(M.dim)
-    times = list(times) if times is not None else default_times(sol.omega)
+    grid = _resolve_grid(grid, M.dim)
+    times = _resolve_times(times, default_times(sol.omega))
     tol_value = _resolve_tol(tol, name, M.dim)
     pts = M.interior_grid(grid)
     if M.dim == 2:
@@ -358,10 +384,10 @@ def conservation_check(sol: ExactSolution, grid=None, times=None,
     """Kinetic energy constancy along the rotation period, plus a quadrature
     refinement cross-check so a pass cannot hide an under-resolved rule."""
     M = sol.manifold
-    grid = tuple(grid) if grid is not None else default_grid(M.dim)
+    grid = _resolve_grid(grid, M.dim)
     period = sol.period or 2.0 * math.pi
-    times = list(times) if times is not None else \
-        [float(t) for t in np.linspace(0.0, period, 9)]
+    times = _resolve_times(
+        times, [float(t) for t in np.linspace(0.0, period, 9)])
     tol_e = _resolve_tol(tol, "energy-conservation", M.dim)
     tol_q = _resolve_tol(tol, "energy-quadrature-agreement", M.dim)
 
@@ -381,8 +407,8 @@ def constraint_check(sol: ExactSolution, grid=None, tol=None,
                      times=None) -> ResidualReport:
     """Divergence at interior samples and boundary tangency g(U, normal)."""
     M = sol.manifold
-    grid = tuple(grid) if grid is not None else default_grid(M.dim)
-    times = list(times) if times is not None else default_times(sol.omega)
+    grid = _resolve_grid(grid, M.dim)
+    times = _resolve_times(times, default_times(sol.omega))
     tol_div = _resolve_tol(tol, "divergence", M.dim)
     tol_tan = _resolve_tol(tol, "boundary-tangency", M.dim)
     pts = M.interior_grid(grid)
@@ -488,8 +514,7 @@ def _bracket_values(a: FourierStream, b: FourierStream,
 
 def _torus_quad_nodes(n: int) -> np.ndarray:
     x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    mx, my = np.meshgrid(x, x, indexing="ij")
-    return np.stack([mx.ravel(), my.ravel()], axis=-1)
+    return geo._tensor_grid([x, x])
 
 
 def _torus_inner(u_vals: np.ndarray, v_vals: np.ndarray) -> float:
@@ -621,8 +646,8 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     block entries that are not finite, since such a report has no strict
     JSON form."""
     M = sol.manifold
-    grid = tuple(grid) if grid is not None else default_grid(M.dim)
-    times = list(times) if times is not None else default_times(sol.omega)
+    grid = _resolve_grid(grid, M.dim)
+    times = _resolve_times(times, default_times(sol.omega))
     for name in default_tolerances(M.dim):  # reject a bad tolerance up front
         _resolve_tol(tolerances, name, M.dim)
     start = time.perf_counter()

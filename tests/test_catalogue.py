@@ -114,8 +114,8 @@ def test_sphere_wave_components_closed_form():
     P = -3.0 * x * np.sqrt(1 - x ** 2)           # P_2^1
     dP = (6 * x ** 2 - 3) / np.sqrt(1 - x ** 2)  # dP_2^1/dx
     pts = np.array([[0.0, phi], [0.5, phi]])
-    v = sol.wave_re(0.0, pts)
-    w = sol.wave_im(0.0, pts)
+    z = sol.wave(0.0, pts)
+    v, w = z.real, z.imag
     for i, th in enumerate((0.0, 0.5)):
         assert abs(v[i, 0] - (-dP) * np.cos(n * th)) < 1e-12
         assert abs(v[i, 1] - (n / np.sin(phi)) * P * np.sin(n * th)) < 1e-12
@@ -147,7 +147,7 @@ def test_sphere_base_flow_inertia_image():
     pts = M.interior_grid((10, 10))
     listed = sol.base_flow.inertia_image(0.0, pts)
     assert np.allclose(listed, [2.0, 0.0])
-    psi = sol.base_flow.stream
+    psi = sol.psi_base
 
     def vort(t, q):
         return geo.laplace_beltrami(M, psi, t, q)
@@ -174,7 +174,7 @@ def test_hyperbolic_spectral_and_image():
     pts = M.interior_grid((10, 10))
     listed = sol.base_flow.inertia_image(0.0, pts)
     assert np.allclose(listed, [0.0, -2.0])
-    psi = sol.base_flow.stream
+    psi = sol.psi_base
 
     def vort(t, q):
         return geo.laplace_beltrami(M, psi, t, q)
@@ -191,7 +191,7 @@ def test_hyperbolic_wave_matches_radial_mode():
     pts = np.stack([rng.uniform(0.1, 0.9, 25), rng.uniform(0, 2 * np.pi, 25)],
                    axis=-1)
     r, th = pts[:, 0], pts[:, 1]
-    v = sol.wave_re(0.0, pts)
+    v = sol.wave(0.0, pts).real
     assert np.max(np.abs(v[:, 0] - (-(n / np.sinh(r)) * mode.value(r)
                                     * np.sin(n * th)))) < 1e-12
     assert np.max(np.abs(v[:, 1] - (-(mode.derivative(r) / np.sinh(r))
@@ -199,7 +199,9 @@ def test_hyperbolic_wave_matches_radial_mode():
     # eigenvalue relation for the stream function under the FD Laplacian
     M = sol.manifold
     gpts = M.interior_grid((12, 12))
-    psi = sol.wave_re.stream
+    def psi(t, p):
+        return sol.psi_wave(t, p).real
+
     lap = geo.laplace_beltrami(M, psi, 0.0, gpts)
     E = sol.spectral.alpha
     assert np.max(np.abs(lap - E * psi(0.0, gpts))) < 1e-5 * E
@@ -218,8 +220,8 @@ def test_s3_canonical_entry_matches_displayed_solution():
     for th in (0.0, 1.2):
         pts = np.stack([chi, np.full_like(chi, th), np.full_like(chi, 2.0)],
                        axis=-1)
-        v = sol.wave_re(0.0, pts)
-        w = sol.wave_im(0.0, pts)
+        z = sol.wave(0.0, pts)
+        v, w = z.real, z.imag
         assert np.max(np.abs(v[:, 0] - np.sin(chi) * np.sin(th))) < 1e-12
         assert np.max(np.abs(v[:, 1] - (3 * np.cos(chi) - 1 / np.cos(chi))
                              * np.cos(th))) < 1e-12
@@ -261,7 +263,10 @@ def test_s3_wave_is_curl_eigenfield():
         sol = cat.rossby_s3(**kwargs)
         M = sol.manifold
         pts = M.interior_grid((10, 6, 6))
-        for fld in (sol.wave_re, sol.wave_im):
+        for part in (np.real, np.imag):
+            def fld(t, p, part=part):
+                return part(sol.wave(t, p))
+
             got = geo.curl3(M, fld, 0.0, pts)
             want = sol.spectral.alpha * fld(0.0, pts)
             sup = np.max(np.abs(want))
@@ -330,7 +335,10 @@ def test_cylinder_wave_is_curl_eigenfield():
     sol = cat.ck_cylinder(n=1, m=1, branch=1)
     M = sol.manifold
     pts = M.interior_grid((8, 6, 6))
-    for fld in (sol.wave_re, sol.wave_im):
+    for part in (np.real, np.imag):
+        def fld(t, p, part=part):
+            return part(sol.wave(t, p))
+
         got = geo.curl3(M, fld, 0.0, pts)
         want = sol.spectral.alpha * fld(0.0, pts)
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
@@ -340,8 +348,11 @@ def test_cylinder_wave_is_divergence_free():
     sol = cat.ck_cylinder(n=2, m=1, branch=1)
     M = sol.manifold
     pts = M.interior_grid((8, 6, 6))
-    div = geo.divergence(M, sol.wave_re, 0.0, pts)
-    assert np.max(np.abs(div)) < 1e-6 * np.max(np.abs(sol.wave_re(0.0, pts)))
+    def v(t, p):
+        return sol.wave(t, p).real
+
+    div = geo.divergence(M, v, 0.0, pts)
+    assert np.max(np.abs(div)) < 1e-6 * np.max(np.abs(v(0.0, pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,10 @@ def test_annulus_wave_is_curl_eigenfield_and_tangent():
     sol = cat.twisted_annulus(m=1)
     M = sol.manifold
     pts = M.interior_grid((8, 6, 6))
-    for fld in (sol.wave_re, sol.wave_im):
+    for part in (np.real, np.imag):
+        def fld(t, p, part=part):
+            return part(sol.wave(t, p))
+
         got = geo.curl3(M, fld, 0.0, pts)
         want = sol.spectral.alpha * fld(0.0, pts)
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
@@ -440,7 +454,8 @@ def test_classification_table():
 def test_evaluators_match_written_out_phase_rotation():
     # U = u0 + rho cos(ph) v - rho sin(ph) w, V = rho sin(ph) v + rho cos(ph) w
     # and their time derivatives, spelled out from the derived parts
-    # (v, w) of the one stored complex eigenfield; likewise for the streams.
+    # (v, w) = (Re z, Im z) of the one stored complex eigenfield; likewise
+    # for the streams.
     def close(got, want):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -451,11 +466,12 @@ def test_evaluators_match_written_out_phase_rotation():
         pts = np.concatenate([
             M.interior_grid((4,) * M.dim),
             M.random_interior(10, np.random.default_rng(11))])
-        v, w, u0 = sol.wave_re, sol.wave_im, sol.base_flow
+        u0 = sol.base_flow
         c = sol.rho * sol.omega
         for t in (0.0, 0.7, 1.9):
             cs, sn = np.cos(sol.phase(t)), np.sin(sol.phase(t))
-            fv, fw = v(t, pts), w(t, pts)
+            z = sol.wave(t, pts)
+            fv, fw = z.real, z.imag
             close(sol.velocity(t, pts),
                   u0(t, pts) + sol.rho * cs * fv - sol.rho * sn * fw)
             close(sol.velocity_dt(t, pts), -c * sn * fv - c * cs * fw)
@@ -466,7 +482,8 @@ def test_evaluators_match_written_out_phase_rotation():
                 assert sol.stream_total() is None
                 assert sol.stream_linearized() is None
                 continue
-            pv, pw = v.stream(t, pts), w.stream(t, pts)
+            zpsi = sol.psi_wave(t, pts)
+            pv, pw = zpsi.real, zpsi.imag
             total, lin = sol.stream_total(), sol.stream_linearized()
             close(total(t, pts), sol.psi_base(t, pts)
                   + sol.rho * cs * pv - sol.rho * sn * pw)

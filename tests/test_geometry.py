@@ -113,8 +113,7 @@ def test_skew_gradient_disk_rigid_rotation():
     M = geo.flat_disk()
     pts = M.interior_grid((10, 10))
     psi = StreamFunction(dim=2, func=lambda t, p: -0.5 * p[:, 0] ** 2)
-    u = geo.skew_gradient(M, psi)
-    vals = u(0.0, pts)
+    vals = geo.skew_gradient_values(M, psi, 0.0, pts)
     assert np.max(np.abs(vals[:, 0])) < 1e-10
     assert np.max(np.abs(vals[:, 1] - 1.0)) < 1e-10
 
@@ -144,7 +143,9 @@ def test_skew_gradients_are_divergence_free():
                         * np.cos(j * p[:, 1] + 0.1 * i)
             return out
 
-        u = geo.skew_gradient(M, StreamFunction(dim=2, func=psi))
+        def u(t, p, psi=psi, M=M):
+            return geo.skew_gradient_values(M, psi, t, p)
+
         div = geo.divergence(M, u, 0.0, pts)
         scale = np.max(np.abs(u(0.0, pts)))
         assert np.max(np.abs(div)) < 2e-5 * max(scale, 1.0)
@@ -181,8 +182,8 @@ def test_bracket_of_skew_gradients_is_skew_gradient_of_bracket():
     pts = torus_points(30)
     f = lambda t, p: np.sin(p[:, 0] + p[:, 1])
     g = lambda t, p: np.cos(2.0 * p[:, 0])
-    uf = geo.skew_gradient(M, StreamFunction(dim=2, func=f))
-    ug = geo.skew_gradient(M, StreamFunction(dim=2, func=g))
+    uf = lambda t, p: geo.skew_gradient_values(M, f, t, p)
+    ug = lambda t, p: geo.skew_gradient_values(M, g, t, p)
     lhs = geo.lie_bracket(M, uf, ug, 0.0, pts)
     pb = lambda t, p: geo.poisson_bracket(M, f, g, t, p)
     rhs = geo.skew_gradient_values(M, pb, 0.0, pts)
@@ -308,31 +309,19 @@ def test_lie_bracket_jacobi_identity():
 
 
 def test_inertia_operator_disk_stream_route():
-    # u = skew_grad(J_0(beta r)) has A u = beta^2 u when J_0(beta) = 0.
+    # u = skew_grad(J_0(beta r)) has A u = skew_grad(lap psi) = beta^2 u
+    # when J_0(beta) = 0.
     beta = 2.404825557695773
     M = geo.flat_disk()
     pts = M.interior_grid((10, 10))
     psi = StreamFunction(dim=2, func=lambda t, p: jv(0, beta * p[:, 0]))
-    u = geo.skew_gradient(M, psi)
-    au = geo.inertia_operator(M, u, 0.0, pts)
-    uv = u(0.0, pts)
+
+    def vort(t, q):
+        return geo.laplace_beltrami(M, psi, t, q)
+
+    au = geo.skew_gradient_values(M, vort, 0.0, pts)
+    uv = geo.skew_gradient_values(M, psi, 0.0, pts)
     assert np.max(np.abs(au - beta ** 2 * uv)) < 1e-4 * beta ** 2
-
-
-def test_inertia_operator_prefers_closed_form_image():
-    M = geo.round_sphere()
-    pts = M.interior_grid((6, 6))
-    u = constant_field((1.0, 0.0), label="rotation")
-    u.inertia_image = constant_field((2.0, 0.0))
-    au = geo.inertia_operator(M, u, 0.0, pts)
-    assert np.allclose(au[:, 0], 2.0) and np.allclose(au[:, 1], 0.0)
-
-
-def test_inertia_operator_requires_structure_in_2d():
-    M = geo.flat_torus()
-    u = VectorField(dim=2, func=lambda t, p: np.ones((p.shape[0], 2)))
-    with pytest.raises(ValueError):
-        geo.inertia_operator(M, u, 0.0, torus_points(4))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Every derived quantity is certified against an independent oracle:
   arbitrary-precision mpmath evaluations;
 * Bessel zeros   -> bisection on mpmath evaluations (no scipy involved);
 * associated Legendre -> scipy.special.lpmv cross-check, mpmath spot values,
-  plus the defining ODE;
+  the Rodrigues closed form of the derivative, plus the defining ODE;
 * Jacobi polynomials -> mpmath, weighted-orthogonality quadrature, and the
   closed-form norm;
 * hyperbolic radial modes -> bisection on the conical Legendre function
@@ -19,6 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import Legendre
 from scipy.special import lpmv
 
 from eulerwaves import specfun as sf
@@ -180,14 +181,28 @@ def test_assoc_legendre_against_scipy_and_mpmath():
                - float(mp.legenp(5, 3, mp.mpf("0.37")))) < 1e-11
 
 
+def _rodrigues_derivative(deg, order, x):
+    """d/dx of P_l^m = (-1)^m (1 - x^2)^{m/2} Q(x), Q = d^m P_l / dx^m, by
+    exact polynomial algebra (no recurrence):
+    (-1)^m (1 - x^2)^{m/2 - 1} [(1 - x^2) Q' - m x Q]."""
+    Q = Legendre.basis(deg).deriv(order)
+    s = 1.0 - x ** 2
+    return ((-1.0) ** order * s ** (order / 2.0 - 1.0)
+            * (s * Q.deriv()(x) - order * x * Q(x)))
+
+
 def test_assoc_legendre_derivative_and_ode():
-    # derivative against mpmath, then the Legendre ODE residual
+    # derivative against the Rodrigues closed form, tied to mpmath at one
+    # point, then the Legendre ODE residual
+    x0 = mp.mpf("0.37")
+    anchor = float(mp.diff(lambda t: mp.legenp(6, 4, t), x0))
+    assert abs(_rodrigues_derivative(6, 4, float(x0)) - anchor) \
+        < 1e-9 * abs(anchor)
     xs = np.linspace(-0.9, 0.9, 19)
     for deg, order in [(0, 0), (1, 1), (3, 3), (2, 1), (3, 2), (5, 1), (6, 4)]:
         P, dP = sf.assoc_legendre(deg, order, xs, derivative=True)
-        for x, d in zip(xs, dP):
-            ref = float(mp.diff(lambda t: mp.legenp(deg, order, t), mp.mpf(x)))
-            assert abs(d - ref) < 1e-9 * max(1.0, abs(ref))
+        ref = _rodrigues_derivative(deg, order, xs)
+        assert np.all(np.abs(dP - ref) < 1e-9 * np.maximum(1.0, np.abs(ref)))
         # (1-x^2) P'' - 2x P' + [l(l+1) - m^2/(1-x^2)] P = 0 with P'' by FD of dP
         h = 1e-5
         _, dPp = sf.assoc_legendre(deg, order, xs + h, derivative=True)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +187,96 @@ def test_eigen_relations_annulus():
     rep = ver.check_eigen_relations(cat.twisted_annulus(m=1))
     for c in rep.checks:
         assert c.passed, (c.name, c.sup / c.normalizer)
+
+
+_SMALL_GRIDS = {2: (8, 8), 3: (5, 5, 5)}
+
+
+def _written_out_pair_rows(sol, pts):
+    """The six eigen rows as (name, lhs, rhs) on the real fields v = Re z and
+    w = Im z:  A v = alpha v,  A w = alpha w,  [u0, v] = -zeta w,
+    [u0, w] = zeta v,  [v, A u0] = lam alpha w,  [w, A u0] = -lam alpha v."""
+    M, sp, u0 = sol.manifold, sol.spectral, sol.base_flow
+
+    def part(f, take):
+        return lambda t, p: take(f(t, p))
+
+    v, w = part(sol.wave, np.real), part(sol.wave, np.imag)
+
+    def inertia(take):
+        if M.dim == 3:
+            return geo.curl3(M, part(sol.wave, take), 0.0, pts)
+        psi = part(sol.psi_wave, take)
+
+        def vort(t, q):
+            return geo.laplace_beltrami(M, psi, t, q)
+
+        return geo.skew_gradient_values(M, vort, 0.0, pts)
+
+    vv, wv = v(0.0, pts), w(0.0, pts)
+    la = sp.lam * sp.alpha
+    return [
+        ("eigen-inertia-v", inertia(np.real), sp.alpha * vv),
+        ("eigen-inertia-w", inertia(np.imag), sp.alpha * wv),
+        ("eigen-advection-v", geo.lie_bracket(M, u0, v, 0.0, pts),
+         -sp.zeta * wv),
+        ("eigen-advection-w", geo.lie_bracket(M, u0, w, 0.0, pts),
+         sp.zeta * vv),
+        ("eigen-coadjoint-v",
+         geo.lie_bracket(M, v, u0.inertia_image, 0.0, pts), la * wv),
+        ("eigen-coadjoint-w",
+         geo.lie_bracket(M, w, u0.inertia_image, 0.0, pts), -la * vv),
+    ]
+
+
+@pytest.mark.parametrize("key", cat.catalogue_keys())
+def test_eigen_rows_match_written_out_pair(key):
+    # the rows of the complex relations on z are the real (-v) and imaginary
+    # (-w) parts of the six relations on the re/im pair, spelled out above
+    sol = cat.build(key)
+    M = sol.manifold
+    grid = _SMALL_GRIDS[M.dim]
+    rep = ver.check_eigen_relations(sol, grid=grid)
+    pts = np.concatenate([M.interior_grid(grid), M.random_interior(
+        200, np.random.default_rng(ver.DEFAULT_SEED))])
+    want = _written_out_pair_rows(sol, pts)
+    assert [c.name for c in rep.checks] == [name for name, _, _ in want]
+    for c, (name, lhs, rhs) in zip(rep.checks, want):
+        norm = max(np.max(ver._norms(M, pts, lhs)),
+                   np.max(ver._norms(M, pts, rhs)))
+        ref = ver._check(name, ver._norms(M, pts, lhs - rhs), norm, c.tol)
+        got_ratio = c.sup / c.normalizer
+        ref_ratio = ref.sup / ref.normalizer
+        assert abs(got_ratio - ref_ratio) <= 1e-2 * ref_ratio, \
+            (name, got_ratio, ref_ratio)
+        assert c.passed == ref.passed, name
+
+
+_CARRIERS = {"alpha": ("eigen-inertia", "eigen-coadjoint"),
+             "zeta": ("eigen-advection",),
+             "lam": ("eigen-coadjoint",)}
+
+
+@pytest.mark.parametrize("key", cat.catalogue_keys())
+@pytest.mark.parametrize("value", sorted(_CARRIERS))
+def test_eigen_rows_reject_a_wrong_spectral_value(key, value):
+    # scaling alpha, zeta or lam by 1.1 (setting it to 0.1 where it is 0)
+    # must fail exactly the rows whose right-hand side carries it, by far
+    sol = cat.build(key)
+    old = getattr(sol.spectral, value)
+    bad = replace(sol, spectral=replace(
+        sol.spectral, **{value: 1.1 * old if old != 0.0 else 0.1}))
+    carriers = {f"{stem}-{part}" for stem in _CARRIERS[value]
+                for part in "vw"}
+    if value == "alpha" and sol.spectral.lam == 0.0:
+        # the coadjoint right-hand side lam alpha z is zero either way
+        carriers = {"eigen-inertia-v", "eigen-inertia-w"}
+    rep = ver.check_eigen_relations(bad, grid=_SMALL_GRIDS[sol.dim])
+    for c in rep.checks:
+        if c.name in carriers:
+            assert c.sup / c.normalizer > 100.0 * c.tol, c.name
+        else:
+            assert c.passed, c.name
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +469,13 @@ def test_report_json_roundtrip_and_determinism():
 # versions they were taken with only.
 _PIN_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
 _REPORT_PINS = {
-    "ck-cylinder": "a12b411c18306c7f",
-    "kelvin-disk": "cf3bd4e8d09480c7",
-    "kelvin-hyperbolic": "9f24c6f36e41c578",
-    "kelvin-torus": "82f13c0cd33e76f2",
-    "rossby-s3": "51c29dd798e2dfc4",
-    "rossby-sphere": "169ff22d4b1c363e",
-    "twisted-annulus": "3324797485ba99c3",
+    "ck-cylinder": "2280629cd916d3cc",
+    "kelvin-disk": "e49e42a998d49892",
+    "kelvin-hyperbolic": "8e998e2ee86ed7bf",
+    "kelvin-torus": "2b255131f88f4517",
+    "rossby-s3": "1dfbb7667617c633",
+    "rossby-sphere": "b1d7537d0de23e80",
+    "twisted-annulus": "7295263fe6e3335a",
 }
 
 
@@ -420,6 +511,40 @@ def test_non_finite_or_negative_tolerances_rejected():
                                      tolerances=tolerances)
         with pytest.raises(ValueError):
             ver.euler_residual(sol, grid=(8, 8), times=[0.7], tol=bad)
+
+
+_BAD_GRIDS_AND_TIMES = [
+    (ver.run_verification, {"times": []}),
+    (ver.run_verification, {"times": [math.nan]}),
+    (ver.run_verification, {"times": [0.7, math.inf]}),
+    (ver.run_verification, {"grid": (4,)}),
+    (ver.run_verification, {"grid": (4, 4, 4)}),
+    (ver.run_verification, {"grid": (4, 1)}),
+    (ver.run_verification, {"grid": (4.0, 4)}),
+    (ver.check_eigen_relations, {"grid": (4,)}),
+    (ver.euler_residual, {"times": []}),
+    (ver.linearized_residual, {"grid": (4, 4, 4)}),
+    (ver.conservation_check, {"times": [math.nan]}),
+    (ver.constraint_check, {"grid": (4.5, 4)}),
+]
+
+
+@pytest.mark.parametrize("check, kwargs", _BAD_GRIDS_AND_TIMES, ids=[
+    f"{check.__name__}-{kwargs}" for check, kwargs in _BAD_GRIDS_AND_TIMES])
+def test_bad_grid_or_times_rejected_before_any_field_evaluation(check, kwargs):
+    calls = []
+
+    def counted(f):
+        def g(t, p):
+            calls.append(t)
+            return f(t, p)
+        return g
+
+    sol = cat.kelvin_torus()
+    sol = replace(sol, wave=counted(sol.wave), psi_wave=counted(sol.psi_wave))
+    with pytest.raises(ValueError, match="grid|times"):
+        check(sol, **kwargs)
+    assert calls == []
 
 
 def test_stationarity_row_follows_its_tolerance(monkeypatch):
