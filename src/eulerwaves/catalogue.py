@@ -251,7 +251,10 @@ def _on_distinct(profile, x):
 
     Tensor grids and the FD stencils built on them repeat each value of the
     slowest chart axis in one run, so a radial profile on 576 or 1728 points
-    sees 24 or 12 values.  A batch whose first two values differ (random
+    sees 24 or 12 values.  ``geometry.fd_partial`` stacks its four shifted
+    copies of a grid into one batch; each block is a shifted copy of a
+    run-ordered grid, so the batch still comes in runs, at most four times
+    as many.  A batch whose first two values differ (random
     points, a tracer ensemble, a grid whose bounded axis is the fast one)
     goes to ``profile`` whole, without a scan for runs.  The result comes
     back bit-identical to ``profile(x)``.

@@ -86,6 +86,9 @@ def _integrate(sol: ExactSolution, starts: np.ndarray, t0, t1, dt) -> list:
         dt = default_step(sol)
     if dt <= 0.0:
         raise ValueError("need dt > 0")
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"the step count (t1 - t0) / dt = {horizon!r} / "
+                         f"{dt!r} is not finite")
     n_steps = max(1, math.ceil(horizon / dt - 1e-12))
     step = horizon / n_steps
 

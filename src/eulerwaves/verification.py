@@ -101,6 +101,14 @@ def _resolve_tol(tol, name: str, dim: int) -> float:
     return value
 
 
+def _resolve_seed(seed) -> int:
+    """``seed`` as a non-negative int; ``bool`` is not a seed."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -247,6 +255,7 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
+    seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([M.interior_grid(grid), M.random_interior(200, rng)])
     sp = sol.spectral
@@ -540,6 +549,7 @@ def skew_adjoint_quadrature(u: FourierStream, v: FourierStream,
     for divergence-free Fourier fields on the flat torus."""
     if not isinstance(u, FourierStream) or not isinstance(v, FourierStream):
         raise TypeError("skew_adjoint_quadrature needs FourierStream inputs")
+    seed = _resolve_seed(seed)
     nodes = _torus_quad_nodes(n)
     value = _pair_identity(u.inverse_laplace().field_values(nodes),
                            _bracket_values(v, u, nodes))
@@ -550,7 +560,7 @@ def skew_adjoint_quadrature(u: FourierStream, v: FourierStream,
                             for kx, ky, amp in u.modes],
                 "modes-v": [[kx, ky, amp.real, amp.imag]
                             for kx, ky, amp in v.modes]},
-        grid=(n, n), times=[0.0], seed=int(seed),
+        grid=(n, n), times=[0.0], seed=seed,
         tolerances={"skew-adjoint-pair": float(tol)}, checks=[check])
 
 
@@ -558,6 +568,7 @@ def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8, n: int = 64,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Randomized battery: the pair identity plus its polarized (bilinear)
     form  <A^-1 u, [v, w]> + <A^-1 w, [v, u]> = 0."""
+    seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
     nodes = _torus_quad_nodes(n)
     pair_vals, polar_vals = [], []
@@ -581,7 +592,7 @@ def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8, n: int = 64,
               _check("skew-adjoint-polarized", polar_vals, 1.0, tol)]
     return ResidualReport(
         solution="flat-torus-identity", params={"pairs": int(pairs)},
-        grid=(n, n), times=[0.0], seed=int(seed),
+        grid=(n, n), times=[0.0], seed=seed,
         tolerances={"skew-adjoint-pair": float(tol),
                     "skew-adjoint-polarized": float(tol)}, checks=checks)
 
@@ -599,7 +610,7 @@ def _stationarity_probe(sol: ExactSolution, probe_time: float = 0.9,
     is a translation along the periodic angles, so components transport
     unchanged)."""
     M = sol.manifold
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_resolve_seed(seed))
     pts = M.random_interior(128, rng)
     u_now = sol.velocity(0.0, pts)
     scale = float(np.max(_norms(M, pts, u_now)))
@@ -650,6 +661,7 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     times = _resolve_times(times, default_times(sol.omega))
     for name in default_tolerances(M.dim):  # reject a bad tolerance up front
         _resolve_tol(tolerances, name, M.dim)
+    seed = _resolve_seed(seed)
     start = time.perf_counter()
 
     # Fields that overflow make non-finite rows, reported once below as

@@ -118,6 +118,20 @@ def test_verify_non_finite_or_negative_inputs_are_usage_errors(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid", "1,10"], ["--grid", "10"], ["--grid", "10,10,10"],
+    ["--grid", "a,b"], ["--grid", "10,10", "--times", ""],
+    ["--grid", "10,10", "--seed", "-1"], ["--grid", "10,10", "--seed", "1.5"],
+])
+def test_verify_bad_grid_times_or_seed_are_usage_errors(tmp_path, capsys,
+                                                        flags):
+    out = tmp_path / "r.json"
+    code = run_cli("verify", "kelvin-torus", *flags, "--out", str(out))
+    assert code == 64
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
 def test_verify_unknown_parameter_is_usage_error(capsys):
     assert run_cli("verify", "kelvin-torus", "--q", "3") == 64
 
@@ -314,6 +328,14 @@ def test_trace_non_finite_times_are_usage_errors(tmp_path, flag, value):
                    "--out", str(out))
     assert code == 64
     assert not out.exists()
+
+
+def test_trace_step_count_overflow_exits_2(capsys):
+    # (t1 - t0) / dt overflows to inf: refused before any allocation
+    code = run_cli("trace", "kelvin-disk", "--start", "0.5,0.1",
+                   "--t1", "1e308", "--dt", "1e-300")
+    assert code == 2
+    assert "trace failed" in capsys.readouterr().err
 
 
 def test_annulus_interval_aliases(tmp_path):

@@ -47,6 +47,39 @@ def test_fd_partial_richardson_halving_gains_order():
     assert e1 / e2 >= 8.0
 
 
+@pytest.mark.parametrize("kind", ["scalar", "vector", "complex"])
+def test_fd_partial_is_the_four_call_stencil_in_one_call(kind):
+    # One call on the four stacked shifts gives, bit for bit, the stencil
+    # written out as four calls on shifted copies of the points.
+    rng = np.random.default_rng(RNG_SEED)
+    pts = rng.uniform(0.0, 2 * np.pi, size=(37, 3))
+    arg = lambda p: p[:, 0] - 2.0 * p[:, 1] + 0.5 * p[:, 2]
+    fields = {
+        "scalar": lambda p: np.sin(arg(p)) * np.exp(0.3 * p[:, 1]),
+        "vector": lambda p: np.stack([np.cos(p[:, 0]) * p[:, 2],
+                                      np.sin(arg(p)), p[:, 1] ** 3], axis=-1),
+        "complex": lambda p: np.exp(1j * arg(p))[:, None] * p[:, :2],
+    }
+    calls = []
+
+    def f(t, p):
+        calls.append(p.shape)
+        return fields[kind](p)
+
+    def shifted(delta):
+        q = pts.copy()
+        q[:, 1] += delta
+        return fields[kind](q)
+
+    h = 0.05
+    want = (-shifted(2.0 * h) + 8.0 * shifted(h) - 8.0 * shifted(-h)
+            + shifted(-2.0 * h)) / (12.0 * h)
+    got = geo.fd_partial(f, 0.4, pts, 1, h)
+    assert calls == [(4 * 37, 3)]
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Laplace-Beltrami (geometer sign: positive spectrum)
 # ---------------------------------------------------------------------------
@@ -364,8 +397,9 @@ def test_closed_form_metric_algebra_matches_linalg(M):
 def test_laplace_beltrami_differentiates_only_coupled_axes(M):
     # The flux of axis i differentiates f only along the axes where g^{i.}
     # can be non-zero: i alone on a diagonal chart, the (theta, z) pair on
-    # the c-metric.  Four outer stencil points per axis, four inner calls
-    # per differentiated axis.
+    # the c-metric.  Each outer stencil sends its 4N points to the flux in
+    # one call, and each differentiated axis of the flux calls f once on
+    # 4 x 4N points.
     rng = np.random.default_rng(RNG_SEED)
     pts = M.random_interior(40, rng)
     k = np.array([1.0, 2.0, 3.0])[:M.dim]
@@ -376,8 +410,10 @@ def test_laplace_beltrami_differentiates_only_coupled_axes(M):
         return np.sin(p @ k) * np.cos(p[:, 0]) + 0.5 * p[:, -1]
 
     got = geo.laplace_beltrami(M, f, 0.3, pts)
-    want_calls = 32 if M.dim == 2 else (80 if M.metric.pair else 48)
+    want_calls = 2 if M.dim == 2 else (5 if M.metric.pair else 3)
+    want_points = 32 if M.dim == 2 else (80 if M.metric.pair else 48)
     assert len(calls) == want_calls
+    assert sum(calls) == want_points * len(pts)
 
     # reference: the full contraction g^{ij} d_j f over every axis j
     h = M.fd_steps()

@@ -188,6 +188,13 @@ def test_non_finite_inputs_rejected(kwargs):
         tr.integrate_many(sol, starts, **args)
 
 
+def test_non_finite_step_count_rejected():
+    # finite t1 and dt whose ratio overflows: no sample array is allocated
+    sol = cat.kelvin_disk(n=1, m=1)
+    with pytest.raises(ValueError, match="step count"):
+        tr.integrate_trajectory(sol, (0.5, 0.1), 0.0, 1e308, dt=1e-300)
+
+
 def test_samples_stay_wrapped():
     sol = cat.kelvin_torus(n=1, m=2)
     traj = tr.integrate_trajectory(sol, (0.4, 1.7), 0.0, 40.0, dt=1e-2)

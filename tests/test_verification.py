@@ -547,6 +547,44 @@ def test_bad_grid_or_times_rejected_before_any_field_evaluation(check, kwargs):
     assert calls == []
 
 
+_BAD_SEEDS = [-1, 1.5, True, "7", None, np.float64(3.0)]
+_SEEDED_CHECKS = [
+    lambda sol, seed: ver.run_verification(sol, grid=(4, 4), times=[0.7],
+                                           seed=seed),
+    lambda sol, seed: ver.check_eigen_relations(sol, grid=(4, 4), seed=seed),
+    lambda sol, seed: ver.stationarity_classifier(sol, seed=seed),
+    lambda sol, seed: ver.skew_adjoint_battery(pairs=1, seed=seed),
+    lambda sol, seed: ver.skew_adjoint_quadrature(
+        ver.FourierStream.from_modes([(1, 0, 1.0)]),
+        ver.FourierStream.from_modes([(0, 1, 1.0)]), seed=seed),
+]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("check", range(len(_SEEDED_CHECKS)))
+def test_bad_seed_rejected_before_any_field_evaluation(check, seed):
+    calls = []
+
+    def counted(f):
+        def g(t, p):
+            calls.append(t)
+            return f(t, p)
+        return g
+
+    sol = cat.kelvin_torus()
+    sol = replace(sol, wave=counted(sol.wave), psi_wave=counted(sol.psi_wave))
+    with pytest.raises(ValueError, match="seed"):
+        _SEEDED_CHECKS[check](sol, seed)
+    assert calls == []
+
+
+def test_numpy_integer_seed_gives_the_same_bytes():
+    sol = cat.kelvin_torus()
+    reps = [ver.run_verification(sol, grid=(6, 6), times=[0.7], seed=seed)
+            for seed in (7, np.int64(7))]
+    assert reps[0].to_json_bytes() == reps[1].to_json_bytes()
+
+
 def test_stationarity_row_follows_its_tolerance(monkeypatch):
     sol = cat.kelvin_torus(n=1, m=2)
     declared = sol.spectral.classification
