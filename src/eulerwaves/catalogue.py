@@ -36,7 +36,7 @@ import numpy as np
 from . import geometry as geo
 from . import solvers
 from . import specfun as sf
-from .fields import StreamFunction, VectorField, _as_points, constant_field
+from .fields import _as_points, constant_field
 
 __all__ = [
     "ConstructionError", "SpectralData", "ExactSolution", "CatalogueEntry",
@@ -108,23 +108,27 @@ def _spectral(alpha: float, zeta: int, lam: float,
 class ExactSolution:
     """A catalogue solution: base flow, complex eigenfield and spectral data.
 
+    Every field is a plain callable ``(t, pts) -> array`` on an (N, dim)
+    batch of chart points.  ``base_flow`` is the Killing field u0 with
+    constant chart components and ``base_image`` its inertia image A u0.
     ``wave(t, pts)`` evaluates the complex eigenfield ``z`` as an (N, dim)
-    complex array.  On surfaces the stream functions ``psi_base`` and
-    ``psi_wave`` (the complex stream of ``z``, shape (N,)) are carried along
-    so vorticity-form residuals can be evaluated without inverting the
-    inertia operator.  No re/im pair of ``z`` is kept: the velocity, its
-    linearisation and the eigen checks all act on ``z`` itself.
+    complex array.  On surfaces the stream functions ``psi_base`` (of u0)
+    and ``psi_wave`` (the complex stream of ``z``, shape (N,)) are carried
+    along so vorticity-form residuals can be evaluated without inverting
+    the inertia operator.  Every real field of the solution is one
+    ``_rotate`` of ``wave`` or ``psi_wave``: no re/im pair of ``z`` is kept.
     """
 
     key: str
     params: dict
     manifold: geo.ChartedManifold
-    base_flow: VectorField
+    base_flow: Callable[[float, np.ndarray], np.ndarray]
+    base_image: Callable[[float, np.ndarray], np.ndarray]
     wave: Callable[[float, np.ndarray], np.ndarray]
     spectral: SpectralData
     rho: float = 1.0
     sigma: float = 0.0
-    psi_base: Optional[StreamFunction] = None
+    psi_base: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     psi_wave: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     metadata: dict = field(default_factory=dict)
 
@@ -183,36 +187,8 @@ class ExactSolution:
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self._rotate(self.wave, t, pts, base=self.base_flow)
 
-    def velocity_dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self._rotate(self.wave, t, pts, dt=True)
-
     def linearized(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self._rotate(self.wave, t, pts, linearized=True)
-
-    def linearized_dt(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self._rotate(self.wave, t, pts, linearized=True, dt=True)
-
-    def stream_total(self) -> Optional[StreamFunction]:
-        """Stream function of the full velocity (surfaces only)."""
-        if self.psi_base is None:
-            return None
-        return StreamFunction(
-            dim=2,
-            func=lambda t, p: self._rotate(self.psi_wave, t, p,
-                                           base=self.psi_base),
-            dt_func=lambda t, p: self._rotate(self.psi_wave, t, p, dt=True),
-            label=f"{self.key} stream")
-
-    def stream_linearized(self) -> Optional[StreamFunction]:
-        if self.psi_wave is None:
-            return None
-        return StreamFunction(
-            dim=2,
-            func=lambda t, p: self._rotate(self.psi_wave, t, p,
-                                           linearized=True),
-            dt_func=lambda t, p: self._rotate(self.psi_wave, t, p,
-                                              linearized=True, dt=True),
-            label=f"{self.key} linearized stream")
 
     # -- falsification helper -------------------------------------------------
 
@@ -314,9 +290,8 @@ def kelvin_torus(n: int = 1, m: int = 2,
         raise ConstructionError("kelvin-torus needs (n, m) != (0, 0)")
     M = geo.flat_torus()
 
-    psi0 = StreamFunction(2, lambda t, p: p[:, 1].copy(), label="y")
-    u0 = constant_field((1.0, 0.0), inertia_image=constant_field((0.0, 0.0)),
-                        label="unit shear")
+    psi0 = lambda t, p: p[:, 1].copy()
+    u0, Au0 = constant_field((1.0, 0.0)), constant_field((0.0, 0.0))
     psi = _separable(M, (n, m), 1.0)
     zfunc = _separable(M, (n, m), np.array([[1j * m, -1j * n]]))
 
@@ -324,8 +299,8 @@ def kelvin_torus(n: int = 1, m: int = 2,
                          lam_exact=Fraction(0))
     return ExactSolution(
         key="kelvin-torus", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
+        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
+        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
     )
 
 
@@ -350,9 +325,8 @@ def kelvin_disk(n: int = 1, m: int = 1,
     beta = sf.bessel_j_zero(nu, m)
     M = geo.flat_disk()
 
-    psi0 = StreamFunction(2, lambda t, p: -0.5 * p[:, 0] ** 2, label="-r^2/2")
-    u0 = constant_field((0.0, 1.0), inertia_image=constant_field((0.0, 0.0)),
-                        label="rigid rotation")
+    psi0 = lambda t, p: -0.5 * p[:, 0] ** 2
+    u0, Au0 = constant_field((0.0, 1.0)), constant_field((0.0, 0.0))
 
     def z_profile(r):
         J, Jp = sf.bessel_j(nu, beta * r), sf.bessel_j_prime(nu, beta * r)
@@ -365,8 +339,8 @@ def kelvin_disk(n: int = 1, m: int = 1,
                          lam_exact=Fraction(0))
     return ExactSolution(
         key="kelvin-disk", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
+        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
+        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
         metadata={"beta": float(beta)},
     )
 
@@ -394,9 +368,8 @@ def rossby_sphere(n: int = 1, m: int = 2,
     nu = abs(n)
     M = geo.round_sphere()
 
-    psi0 = StreamFunction(2, lambda t, p: -np.cos(p[:, 1]), label="-cos(phi)")
-    u0 = constant_field((1.0, 0.0), inertia_image=constant_field((2.0, 0.0)),
-                        label="solid rotation")
+    psi0 = lambda t, p: -np.cos(p[:, 1])
+    u0, Au0 = constant_field((1.0, 0.0)), constant_field((2.0, 0.0))
 
     def z_profile(phi):
         P, dP = sf.assoc_legendre(m, nu, np.cos(phi), derivative=True)
@@ -412,8 +385,8 @@ def rossby_sphere(n: int = 1, m: int = 2,
     return ExactSolution(
         key="rossby-sphere",
         params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
+        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
+        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
     )
 
 
@@ -443,9 +416,8 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     E = mode.eigenvalue
     M = geo.hyperbolic_disk(r_max=float(r_max))
 
-    psi0 = StreamFunction(2, lambda t, p: -np.cosh(p[:, 0]), label="-cosh(r)")
-    u0 = constant_field((0.0, 1.0), inertia_image=constant_field((0.0, -2.0)),
-                        label="hyperbolic rotation")
+    psi0 = lambda t, p: -np.cosh(p[:, 0])
+    u0, Au0 = constant_field((0.0, 1.0)), constant_field((0.0, -2.0))
 
     def z_profile(r):
         s = np.sinh(r)
@@ -462,8 +434,8 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
         key="kelvin-hyperbolic",
         params={"n": n, "m": m, "r_max": float(r_max),
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma), psi_base=psi0, psi_wave=psi,
+        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
+        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
         metadata={"beta": float(mode.beta),
                   "boundary-residual": float(mode.boundary_residual)},
     )
@@ -548,9 +520,8 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
             f"(j, k, d, sign) = ({j}, {k}, {d}, {sign!r}) gives the zero "
             "eigenfield; take the other curl ladder")
 
-    u0 = constant_field((0.0, 1.0, 1.0),
-                        inertia_image=constant_field((0.0, -2.0, -2.0)),
-                        label="Hopf rotation")
+    u0 = constant_field((0.0, 1.0, 1.0))
+    Au0 = constant_field((0.0, -2.0, -2.0))
 
     lam_exact = Fraction(-2 * n, alpha)
     spectral = _spectral(alpha=alpha, zeta=n, lam=float(lam_exact),
@@ -559,8 +530,8 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
         key="rossby-s3",
         params={"j": j, "k": k, "d": d, "sign": sign,
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=zfunc, spectral=spectral,
-        rho=float(rho), sigma=float(sigma),
+        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc,
+        spectral=spectral, rho=float(rho), sigma=float(sigma),
         metadata={"ell": ell, "scale": scale},
     )
 
@@ -629,9 +600,8 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
     beta, alpha = solvers.ck_dispersion_root(n, m, branch)
     M = geo.solid_cylinder()
 
-    u0 = constant_field((0.0, 1.0, 0.0),
-                        inertia_image=constant_field((0.0, 0.0, 2.0)),
-                        label="rigid rotation")
+    u0 = constant_field((0.0, 1.0, 0.0))
+    Au0 = constant_field((0.0, 0.0, 2.0))
 
     def z_profile(r):
         J, Jp = sf.bessel_j(n, beta * r), sf.bessel_j_prime(n, beta * r)
@@ -645,7 +615,8 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
     return ExactSolution(
         key="ck-cylinder",
         params={"n": n, "m": m, "branch": branch, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=_separable(M, (0, n, m), z_profile),
+        manifold=M, base_flow=u0, base_image=Au0,
+        wave=_separable(M, (0, n, m), z_profile),
         spectral=spectral, rho=float(rho), sigma=float(sigma),
         metadata={"beta": float(beta)},
     )
@@ -687,9 +658,8 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
     M = geo.cmetric_chart(profile.phi, profile.dphi, c, float(r_lo),
                           float(r_hi), name="twisted-annulus")
 
-    u0 = constant_field((0.0, 1.0, 0.0),
-                        inertia_image=constant_field((0.0, 0.0, 2.0)),
-                        label="angular rotation")
+    u0 = constant_field((0.0, 1.0, 0.0))
+    Au0 = constant_field((0.0, 0.0, 2.0))
 
     def z_profile(r):
         ph = np.asarray(profile.phi(r), dtype=float)
@@ -714,7 +684,8 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
         params={"m": m, "n": n, "c": c, "r_lo": float(r_lo),
                 "r_hi": float(r_hi), "branch": branch,
                 "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, wave=_separable(M, (0, n, m), z_profile),
+        manifold=M, base_flow=u0, base_image=Au0,
+        wave=_separable(M, (0, n, m), z_profile),
         spectral=spectral, rho=float(rho), sigma=float(sigma), metadata=meta,
     )
 

@@ -93,8 +93,7 @@ class ChartMetric:
     symmetric off-diagonal pair names its two axes in ``pair``; its
     ``entries`` then return ``(diagonal, g_pair, density)``, with the
     coupling g_ij = g_ji and the volume density sqrt(det g) up to sign
-    (arrays or floats).  Calling the metric assembles the full (N, dim, dim)
-    matrix; the operators use ``at`` instead.
+    (arrays or floats).
     """
 
     dim: int
@@ -113,9 +112,6 @@ class ChartMetric:
                 prod = prod * e
             sqrt_det = np.sqrt(prod)
         return MetricEntries(tuple(diag), self.pair, coupling, sqrt_det)
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.at(pts).matrix()
 
 
 class MetricEntries:
@@ -155,18 +151,6 @@ class MetricEntries:
             return ((a, inv_ii if i == a else inv_ij),
                     (b, inv_ij if i == a else inv_jj))
         return ((i, 1.0 / self.diag[i]),)
-
-    def inverse_row(self, i: int) -> np.ndarray:
-        """The row g^{i.} of the inverse metric, shape (N, d)."""
-        row = np.zeros((self.sqrt_det.shape[0], len(self.diag)))
-        for j, value in self.inverse_entries(i):
-            row[:, j] = value
-        return row
-
-    def inverse(self) -> np.ndarray:
-        """The inverse metric, shape (N, d, d)."""
-        return np.stack([self.inverse_row(i) for i in range(len(self.diag))],
-                        axis=1)
 
     def matrix(self) -> np.ndarray:
         """The full metric, shape (N, d, d)."""
@@ -323,9 +307,6 @@ class ChartedManifold:
 
     def sqrt_det(self, pts: np.ndarray) -> np.ndarray:
         return self.metric_entries(pts).sqrt_det
-
-    def inverse_metric(self, pts: np.ndarray) -> np.ndarray:
-        return self.metric_entries(pts).inverse()
 
     def lower(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
         return self.metric_entries(pts).lower(np.atleast_2d(vals))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,10 @@ class RadialMode:
         return self._dproxy(np.asarray(r, dtype=float))
 
 
+# The largest radius whose collocation rows, n^2 / sinh(r)^2, do not overflow.
+_R_MAX = math.asinh(math.sqrt(sys.float_info.max))
+
+
 def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0) -> RadialMode:
     """m-th Dirichlet radial mode of order n on the hyperbolic disk.
 
@@ -201,8 +206,10 @@ def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0) -> RadialMode:
     if m < 1:
         raise ValueError("mode index m must be >= 1")
     r_max = float(r_max)
-    if not 0.0 < r_max < math.inf:
-        raise ValueError("the disk radius r_max must be positive and finite")
+    if not 0.0 < r_max <= _R_MAX:
+        raise ValueError(f"the disk radius r_max must be positive and at most "
+                         f"{_R_MAX:.2f}, where sinh(r)^2 is finite; got "
+                         f"{r_max!r}")
     return _radial_mode(n, m, r_max)
 
 

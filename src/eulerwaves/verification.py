@@ -9,6 +9,7 @@ identical configuration always produces identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -90,10 +91,18 @@ def _resolve_times(times, default: list) -> list:
 
 
 def _resolve_tol(tol, name: str, dim: int) -> float:
+    """The tolerance of check ``name`` from ``tol``: None (the default), one
+    number for every check, or a dict by check name, where a name that is
+    not a check is an error rather than silently unused."""
+    defaults = default_tolerances(dim)
     if isinstance(tol, dict):
+        unknown = [key for key in tol if key not in defaults]
+        if unknown:
+            raise ValueError(f"unknown tolerance {unknown[0]!r} (known: "
+                             f"{', '.join(sorted(defaults))})")
         tol = tol.get(name)
     if tol is None:
-        return default_tolerances(dim)[name]
+        return defaults[name]
     value = float(tol)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"tolerance for {name!r} must be finite and >= 0, "
@@ -259,7 +268,7 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
     rng = np.random.default_rng(seed)
     pts = np.concatenate([M.interior_grid(grid), M.random_interior(200, rng)])
     sp = sol.spectral
-    u0, z = sol.base_flow, sol.wave
+    z = sol.wave
 
     if M.dim == 2:
         def vorticity(t, q):
@@ -271,9 +280,9 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
     z_vals = z(0.0, pts)
     relations = [
         ("eigen-inertia", Az, sp.alpha * z_vals),
-        ("eigen-advection", geo.lie_bracket(M, u0, z, 0.0, pts),
+        ("eigen-advection", geo.lie_bracket(M, sol.base_flow, z, 0.0, pts),
          1j * sp.zeta * z_vals),
-        ("eigen-coadjoint", geo.lie_bracket(M, z, u0.inertia_image, 0.0, pts),
+        ("eigen-coadjoint", geo.lie_bracket(M, z, sol.base_image, 0.0, pts),
          -1j * (sp.lam * sp.alpha) * z_vals),
     ]
     rows = [(f"{stem}-{part}", take(lhs), take(rhs))
@@ -328,8 +337,11 @@ def _residual(sol: ExactSolution, grid, times, tol, name: str,
 
     On surfaces A is the Laplace-Beltrami operator and B the Poisson bracket,
     acting on stream functions (vorticity form); in 3D A is the curl and B
-    the Lie bracket, acting on velocities (curl form).  The time derivative
-    is analytic; sup over grid x times, normalized by sup |A v|.
+    the Lie bracket, acting on velocities (curl form).  The chart dimension
+    picks (A, B), the complex field z (``psi_wave`` or ``wave``) and the
+    base (``psi_base`` or ``base_flow``) once; u, v and the analytic d_t v
+    are then all ``sol._rotate`` of that z.  Sup over grid x times,
+    normalized by sup |A v|.
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
@@ -337,19 +349,15 @@ def _residual(sol: ExactSolution, grid, times, tol, name: str,
     tol_value = _resolve_tol(tol, name, M.dim)
     pts = M.interior_grid(grid)
     if M.dim == 2:
-        A, B = geo.laplace_beltrami, geo.poisson_bracket
-        u = sol.stream_total()
-        v = sol.stream_linearized() if linearized else u
-        v_dt = v.dt
-        mag = np.abs
+        A, B, z, base, mag = (geo.laplace_beltrami, geo.poisson_bracket,
+                              sol.psi_wave, sol.psi_base, np.abs)
     else:
-        A, B = geo.curl3, geo.lie_bracket
-        u = sol.velocity
-        v, v_dt = ((sol.linearized, sol.linearized_dt) if linearized
-                   else (u, sol.velocity_dt))
-
-        def mag(vals):
-            return _norms(M, pts, vals)
+        A, B, z, base, mag = (geo.curl3, geo.lie_bracket, sol.wave,
+                              sol.base_flow, functools.partial(_norms, M, pts))
+    rotate = functools.partial(sol._rotate, z)
+    u = functools.partial(rotate, base=base)
+    v = functools.partial(rotate, linearized=True) if linearized else u
+    v_dt = functools.partial(rotate, linearized=linearized, dt=True)
 
     def residual_at(t, s):
         def image(f):

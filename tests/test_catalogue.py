@@ -6,6 +6,7 @@ the catalogue's own assembly code; spectral data is checked against exact
 rational values where they exist.
 """
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ def test_torus_time_derivative_is_consistent():
     pts = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(20, 2))
     t, dt = 0.8, 1e-6
     fd = (sol.velocity(t + dt, pts) - sol.velocity(t - dt, pts)) / (2 * dt)
-    assert np.max(np.abs(fd - sol.velocity_dt(t, pts))) < 1e-8
+    assert np.max(np.abs(fd - sol._rotate(sol.wave, t, pts, dt=True))) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_sphere_base_flow_inertia_image():
     sol = cat.rossby_sphere(n=1, m=2)
     M = sol.manifold
     pts = M.interior_grid((10, 10))
-    listed = sol.base_flow.inertia_image(0.0, pts)
+    listed = sol.base_image(0.0, pts)
     assert np.allclose(listed, [2.0, 0.0])
     psi = sol.psi_base
 
@@ -172,7 +173,7 @@ def test_hyperbolic_spectral_and_image():
 
     M = sol.manifold
     pts = M.interior_grid((10, 10))
-    listed = sol.base_flow.inertia_image(0.0, pts)
+    listed = sol.base_image(0.0, pts)
     assert np.allclose(listed, [0.0, -2.0])
     psi = sol.psi_base
 
@@ -392,7 +393,7 @@ def test_annulus_base_flow_image():
     sol = cat.twisted_annulus(m=1)
     M = sol.manifold
     pts = M.interior_grid((8, 5, 5))
-    listed = sol.base_flow.inertia_image(0.0, pts)
+    listed = sol.base_image(0.0, pts)
     fd = geo.curl3(M, sol.base_flow, 0.0, pts)
     assert np.max(np.abs(fd - listed)) < 1e-8
 
@@ -474,22 +475,25 @@ def test_evaluators_match_written_out_phase_rotation():
             fv, fw = z.real, z.imag
             close(sol.velocity(t, pts),
                   u0(t, pts) + sol.rho * cs * fv - sol.rho * sn * fw)
-            close(sol.velocity_dt(t, pts), -c * sn * fv - c * cs * fw)
+            close(sol._rotate(sol.wave, t, pts, dt=True),
+                  -c * sn * fv - c * cs * fw)
             close(sol.linearized(t, pts),
                   sol.rho * sn * fv + sol.rho * cs * fw)
-            close(sol.linearized_dt(t, pts), c * cs * fv - c * sn * fw)
+            close(sol._rotate(sol.wave, t, pts, linearized=True, dt=True),
+                  c * cs * fv - c * sn * fw)
             if sol.psi_wave is None:
-                assert sol.stream_total() is None
-                assert sol.stream_linearized() is None
+                assert sol.psi_base is None
                 continue
             zpsi = sol.psi_wave(t, pts)
             pv, pw = zpsi.real, zpsi.imag
-            total, lin = sol.stream_total(), sol.stream_linearized()
-            close(total(t, pts), sol.psi_base(t, pts)
+            stream = functools.partial(sol._rotate, sol.psi_wave, t, pts)
+            close(stream(base=sol.psi_base), sol.psi_base(t, pts)
                   + sol.rho * cs * pv - sol.rho * sn * pw)
-            close(total.dt(t, pts), -c * sn * pv - c * cs * pw)
-            close(lin(t, pts), sol.rho * sn * pv + sol.rho * cs * pw)
-            close(lin.dt(t, pts), c * cs * pv - c * sn * pw)
+            close(stream(dt=True), -c * sn * pv - c * cs * pw)
+            close(stream(linearized=True),
+                  sol.rho * sn * pv + sol.rho * cs * pw)
+            close(stream(linearized=True, dt=True),
+                  c * cs * pv - c * sn * pw)
 
         calls = []
 

@@ -107,7 +107,7 @@ def test_verify_impossible_tolerance_exits_1(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--times", "nan"], ["--times", "0,inf"], ["--tol", "nan"],
     ["--tol=-1"], ["--tol", "euler-residual=nan"],
-    ["--tol", "euler-residual=-1e-5"],
+    ["--tol", "euler-residual=-1e-5"], ["--tol", "eulr-residual=1"],
 ])
 def test_verify_non_finite_or_negative_inputs_are_usage_errors(tmp_path,
                                                               flags):
@@ -149,6 +149,14 @@ def test_verify_degenerate_construction_exits_2(capsys):
                    "--times", "0.7")
     assert code == 2
     assert "r_max" in capsys.readouterr().err
+    # radii where sinh(r)^2 overflows are refused before any array work,
+    # with no numpy warning on the way
+    for r_max in ("360", "1e308"):
+        code = run_cli("verify", "kelvin-hyperbolic", f"--r_max={r_max}",
+                       "--grid", "4,4", "--times", "0.7")
+        assert code == 2, r_max
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: ") and "r_max" in err
     for key, flag in [("kelvin-disk", "--rho=nan"),
                       ("kelvin-disk", "--sigma=inf"),
                       ("twisted-annulus", "--c=nan"),

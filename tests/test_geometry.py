@@ -9,7 +9,7 @@ import pytest
 from scipy.special import jv
 
 from eulerwaves import geometry as geo
-from eulerwaves.fields import StreamFunction, VectorField, constant_field
+from eulerwaves.fields import constant_field
 
 RNG_SEED = 0x45554C52
 
@@ -145,7 +145,7 @@ def test_skew_gradient_disk_rigid_rotation():
     # psi = -r^2/2 generates the unit rotation (0, 1) in (r, theta).
     M = geo.flat_disk()
     pts = M.interior_grid((10, 10))
-    psi = StreamFunction(dim=2, func=lambda t, p: -0.5 * p[:, 0] ** 2)
+    psi = lambda t, p: -0.5 * p[:, 0] ** 2
     vals = geo.skew_gradient_values(M, psi, 0.0, pts)
     assert np.max(np.abs(vals[:, 0])) < 1e-10
     assert np.max(np.abs(vals[:, 1] - 1.0)) < 1e-10
@@ -299,8 +299,8 @@ def test_lie_bracket_flat_closed_form():
     M = geo.flat_torus()
     pts = torus_points(30)
     u = constant_field((1.0, 0.0))
-    v = VectorField(dim=2, func=lambda t, p: np.stack(
-        [np.zeros(p.shape[0]), np.sin(p[:, 0])], axis=-1))
+    v = lambda t, p: np.stack(
+        [np.zeros(p.shape[0]), np.sin(p[:, 0])], axis=-1)
     br = geo.lie_bracket(M, u, v, 0.0, pts)
     exact = np.stack([np.zeros(30), np.cos(pts[:, 0])], axis=-1)
     assert np.max(np.abs(br - exact)) < 1e-7
@@ -323,12 +323,12 @@ def test_lie_bracket_jacobi_identity():
         def func(t, p):
             return np.stack([np.sin(p[:, 1] + 0.5 * i),
                              np.cos(p[:, 0] + 0.2 * i)], axis=-1)
-        return VectorField(dim=2, func=func)
+        return func
 
     u, v, w = mk(0), mk(1), mk(2)
 
     def br(a, b):
-        return VectorField(dim=2, func=lambda t, p: geo.lie_bracket(M, a, b, t, p))
+        return lambda t, p: geo.lie_bracket(M, a, b, t, p)
 
     total = (geo.lie_bracket(M, u, br(v, w), 0.0, pts)
              + geo.lie_bracket(M, v, br(w, u), 0.0, pts)
@@ -347,7 +347,7 @@ def test_inertia_operator_disk_stream_route():
     beta = 2.404825557695773
     M = geo.flat_disk()
     pts = M.interior_grid((10, 10))
-    psi = StreamFunction(dim=2, func=lambda t, p: jv(0, beta * p[:, 0]))
+    psi = lambda t, p: jv(0, beta * p[:, 0])
 
     def vort(t, q):
         return geo.laplace_beltrami(M, psi, t, q)
@@ -386,7 +386,10 @@ def test_closed_form_metric_algebra_matches_linalg(M):
         return np.max(np.abs(got - want) / scale) <= 1e-13
 
     assert close(M.sqrt_det(pts), np.sqrt(np.linalg.det(g)))
-    ginv = M.inverse_metric(pts)
+    ginv = np.zeros_like(g)
+    for i in range(M.dim):
+        for j, value in M.metric_entries(pts).inverse_entries(i):
+            ginv[:, i, j] = value
     assert close(ginv, np.linalg.inv(g))
     assert close(M.lower(pts, u), np.einsum("nij,nj->ni", g, u))
     assert close(M.norm_sq(pts, u), np.einsum("nij,ni,nj->n", g, u, u))
@@ -423,7 +426,10 @@ def test_laplace_beltrami_differentiates_only_coupled_axes(M):
             df = np.stack([geo.fd_partial(f, tt, q, j, h[j])
                            for j in range(M.dim)], axis=-1)
             g = M.metric_entries(q)
-            return g.sqrt_det * np.einsum("nj,nj->n", g.inverse_row(i), df)
+            row = np.zeros((q.shape[0], M.dim))
+            for j, value in g.inverse_entries(i):
+                row[:, j] = value
+            return g.sqrt_det * np.einsum("nj,nj->n", row, df)
         return F
 
     total = np.zeros(pts.shape[0])

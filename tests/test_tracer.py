@@ -15,17 +15,13 @@ from eulerwaves.catalogue import ExactSolution, SpectralData
 TWO_PI = 2.0 * math.pi
 
 
-def _zero_field(dim):
-    return fields.VectorField(dim, func=lambda t, pts: np.zeros_like(
-        np.atleast_2d(pts), dtype=float))
-
-
 def _synthetic(manifold, components):
     """Steady constant-component flow for exercising exit detection."""
     u0 = fields.constant_field(components)
     return ExactSolution(
         key="synthetic", params={}, manifold=manifold, base_flow=u0,
-        wave=_zero_field(manifold.dim),
+        base_image=fields.constant_field(np.zeros(manifold.dim)),
+        wave=lambda t, pts: np.zeros_like(pts),
         spectral=SpectralData(alpha=1.0, zeta=0.0, lam=0.0, omega=0.0,
                               lam_exact=None, omega_exact=None,
                               classification="stationary"),

@@ -6,6 +6,7 @@ battery has power (wrong frequencies must fail loudly, not drown in slack
 tolerances).
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +20,6 @@ import scipy
 from eulerwaves import catalogue as cat
 from eulerwaves import geometry as geo
 from eulerwaves import verification as ver
-from eulerwaves.fields import StreamFunction, VectorField
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,11 @@ def _written_out_residual_at(sol, pts, linearized):
     out on its own, as ``residual_at(t, s) -> (magnitudes, normalizer)``."""
     M = sol.manifold
     if M.dim == 2:
-        psi_u = sol.stream_total()
-        psi_v = sol.stream_linearized() if linearized else psi_u
-        dt_psi_v = StreamFunction(2, func=psi_v.dt)
+        stream = functools.partial(sol._rotate, sol.psi_wave)
+        psi_u = functools.partial(stream, base=sol.psi_base)
+        psi_v = functools.partial(stream, linearized=True) if linearized \
+            else psi_u
+        dt_psi_v = functools.partial(stream, linearized=linearized, dt=True)
 
         def residual_at(t, s):
             def vort_u(tt, pp):
@@ -113,10 +115,10 @@ def _written_out_residual_at(sol, pts, linearized):
             return np.abs(r), float(np.max(np.abs(vort_v(t, pts))))
         return residual_at
 
-    U = VectorField(3, func=sol.velocity)
-    V = VectorField(3, func=sol.linearized) if linearized else U
-    dtV = VectorField(3, func=sol.linearized_dt if linearized
-                      else sol.velocity_dt)
+    U = sol.velocity
+    V = sol.linearized if linearized else U
+    dtV = functools.partial(sol._rotate, sol.wave, linearized=linearized,
+                            dt=True)
 
     def residual_at(t, s):
         def curl_u(tt, pp):
@@ -126,11 +128,9 @@ def _written_out_residual_at(sol, pts, linearized):
             return geo.curl3(M, V, tt, pp, h_scale=s)
 
         r = (geo.curl3(M, dtV, t, pts, h_scale=s)
-             + geo.lie_bracket(M, U, VectorField(3, func=curl_v), t, pts,
-                               h_scale=s))
+             + geo.lie_bracket(M, U, curl_v, t, pts, h_scale=s))
         if linearized:
-            r = r + geo.lie_bracket(M, V, VectorField(3, func=curl_u), t, pts,
-                                    h_scale=s)
+            r = r + geo.lie_bracket(M, V, curl_u, t, pts, h_scale=s)
         return ver._norms(M, pts, r), float(np.max(
             ver._norms(M, pts, curl_v(t, pts))))
     return residual_at
@@ -223,9 +223,9 @@ def _written_out_pair_rows(sol, pts):
         ("eigen-advection-w", geo.lie_bracket(M, u0, w, 0.0, pts),
          sp.zeta * vv),
         ("eigen-coadjoint-v",
-         geo.lie_bracket(M, v, u0.inertia_image, 0.0, pts), la * wv),
+         geo.lie_bracket(M, v, sol.base_image, 0.0, pts), la * wv),
         ("eigen-coadjoint-w",
-         geo.lie_bracket(M, w, u0.inertia_image, 0.0, pts), -la * vv),
+         geo.lie_bracket(M, w, sol.base_image, 0.0, pts), -la * vv),
     ]
 
 
@@ -511,6 +511,28 @@ def test_non_finite_or_negative_tolerances_rejected():
                                      tolerances=tolerances)
         with pytest.raises(ValueError):
             ver.euler_residual(sol, grid=(8, 8), times=[0.7], tol=bad)
+
+
+def test_unknown_tolerance_name_rejected():
+    # a misspelt check name is an error naming the known checks, in every
+    # entry point that takes a tolerance dict, not a silent default
+    sol = cat.kelvin_torus()
+    bad = {"eulr-residual": 1e-30}
+    calls = [
+        lambda: ver.run_verification(sol, grid=(8, 8), times=[0.7],
+                                     tolerances=bad),
+        lambda: ver.check_eigen_relations(sol, grid=(8, 8), tol=bad),
+        lambda: ver.euler_residual(sol, grid=(8, 8), times=[0.7], tol=bad),
+        lambda: ver.linearized_residual(sol, grid=(8, 8), times=[0.7],
+                                        tol=bad),
+        lambda: ver.conservation_check(sol, grid=(8, 8), tol=bad),
+        lambda: ver.constraint_check(sol, grid=(8, 8), tol=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert "'eulr-residual'" in str(info.value)
+        assert "euler-residual" in str(info.value)
 
 
 _BAD_GRIDS_AND_TIMES = [
