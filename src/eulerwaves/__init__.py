@@ -48,7 +48,6 @@ from .geometry import (  # noqa: E402
 )
 from .solvers import (  # noqa: E402
     CMetricMode,
-    CMetricProfile,
     SolverError,
     ck_dispersion_root,
     crossproduct_root,
@@ -87,7 +86,6 @@ __all__ = [
     "three_sphere",
     # solvers
     "CMetricMode",
-    "CMetricProfile",
     "SolverError",
     "ck_dispersion_root",
     "crossproduct_root",

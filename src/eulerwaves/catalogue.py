@@ -37,6 +37,7 @@ from . import geometry as geo
 from . import solvers
 from . import specfun as sf
 from .fields import _as_points, constant_field
+from .rootfind import _as_int
 
 __all__ = [
     "ConstructionError", "SpectralData", "ExactSolution", "CatalogueEntry",
@@ -213,12 +214,10 @@ class ExactSolution:
 
 
 def _check_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConstructionError(f"parameter {name!r} must be an integer, "
-                                f"got {value!r}")
-    return int(value)
+    try:
+        return _as_int(name, value)
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from None
 
 
 def _on_distinct(profile, x):
@@ -649,25 +648,20 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
     if not (0.0 < r_lo < r_hi):
         raise ConstructionError("twisted-annulus needs 0 < r_lo < r_hi")
     c = float(c)
-    profile = solvers.CMetricProfile.linear(c, float(r_lo), float(r_hi))
     try:
-        mode = solvers.solve_cmetric_mode(profile, n, m, branch=branch)
+        mode = solvers.solve_cmetric_mode(c, r_lo, r_hi, n, m, branch=branch)
     except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
     alpha = mode.alpha
-    M = geo.cmetric_chart(profile.phi, profile.dphi, c, float(r_lo),
-                          float(r_hi), name="twisted-annulus")
+    M = geo.cmetric_chart(c, r_lo, r_hi)
 
     u0 = constant_field((0.0, 1.0, 0.0))
     Au0 = constant_field((0.0, 0.0, 2.0))
 
     def z_profile(r):
-        ph = np.asarray(profile.phi(r), dtype=float)
-        dph = np.asarray(profile.dphi(r), dtype=float)
         g, h = mode.g(r), mode.h(r)
-        return np.stack([1j * mode.f(r),
-                         g / ph ** 2 - c * h / (dph ** 2 * ph ** 2),
-                         h / dph ** 2], axis=-1)
+        f = (n * h - (m - c * n / r ** 2) * g) / (alpha * r)
+        return np.stack([1j * f, g / r ** 2 - c * h / r ** 2, h], axis=-1)
 
     ksq = alpha ** 2 - m ** 2
     nusq = 1.0 + 2.0 * alpha * c

@@ -277,10 +277,9 @@ def cmd_eigen(ns) -> int:
         else:  # cmetric
             params = _require(ns, ["n", "m", "c", "a", "b"], problem)
             params["branch"] = ns.branch
-            profile = solvers.CMetricProfile.linear(
-                params["c"], params["a"], params["b"])
             mode = solvers.solve_cmetric_mode(
-                profile, params["n"], params["m"], branch=ns.branch)
+                params["c"], params["a"], params["b"], params["n"],
+                params["m"], branch=ns.branch)
             results = {"alpha": mode.alpha,
                        "boundary-residual": mode.boundary_residual}
         doc = {"schema": 1, "version": __version__, "problem": problem,

@@ -576,7 +576,7 @@ def flat_disk() -> ChartedManifold:
 def round_sphere() -> ChartedManifold:
     """Round unit 2-sphere, coordinates (theta, phi): azimuth and colatitude.
 
-    ds^2 = sin(phi)^2 dtheta^2 + dphi^2; the poles phi = 0, pi are chart
+    ds^2 = sin(phi)^2 d theta^2 + d phi^2; the poles phi = 0, pi are chart
     singularities, not boundaries.
     """
     return ChartedManifold(
@@ -609,7 +609,7 @@ def hyperbolic_disk(r_max: float = 1.0) -> ChartedManifold:
 def three_sphere() -> ChartedManifold:
     """Round 3-sphere in Hopf coordinates (chi, theta, phi):
 
-        ds^2 = dchi^2 + cos(chi)^2 dtheta^2 + sin(chi)^2 dphi^2,
+        ds^2 = d chi^2 + cos(chi)^2 d theta^2 + sin(chi)^2 d phi^2,
 
     chi in (0, pi/2), both ends chart-singular (the two core circles)."""
     return ChartedManifold(
@@ -642,28 +642,22 @@ def solid_cylinder() -> ChartedManifold:
     )
 
 
-def cmetric_chart(phi: Callable[[np.ndarray], np.ndarray],
-                  dphi: Callable[[np.ndarray], np.ndarray],
-                  c: float, r_lo: float, r_hi: float,
-                  name: str = "c-metric") -> ChartedManifold:
-    """Twisted-product chart (r, theta, z) with metric
+def cmetric_chart(c: float, r_lo: float, r_hi: float) -> ChartedManifold:
+    """The twisted annulus: chart (r, theta, z) on r_lo <= r <= r_hi with
+    the radial profile phi = r and twist c,
 
-        [ 1      0       0        ]
-        [ 0    phi^2     c        ]
-        [ 0      c   c^2/phi^2 + phi'^2 ]
+        g = dr^2 + r^2 dtheta^2 + 2c dtheta dz + (c^2/r^2 + 1) dz^2,
 
-    whose volume density is phi * phi'.  theta and z are 2pi-periodic.
+    whose volume density is r.  theta and z are 2pi-periodic.
     """
     c = float(c)
 
     def entries(pts):
         r = pts[:, 0]
-        f = np.asarray(phi(r), dtype=float)
-        fp = np.asarray(dphi(r), dtype=float)
-        return (1.0, f ** 2, c ** 2 / f ** 2 + fp ** 2), c, f * fp
+        return (1.0, r ** 2, c ** 2 / r ** 2 + 1.0), c, r
 
     return ChartedManifold(
-        name=name,
+        name="twisted-annulus",
         dim=3,
         coords=("r", "theta", "z"),
         ranges=((float(r_lo), float(r_hi)), (0.0, TWO_PI), (0.0, TWO_PI)),

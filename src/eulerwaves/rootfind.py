@@ -26,6 +26,16 @@ class SolverError(RuntimeError):
     """A dispersion scan or collocation solve failed to locate a mode."""
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int: ints, numpy ints and integral floats pass; a bool
+    or anything else raises ValueError instead of being truncated."""
+    if ((isinstance(value, float) and value.is_integer())
+            or (isinstance(value, (int, np.integer))
+                and not isinstance(value, bool))):
+        return int(value)
+    raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
+
+
 def scan_brackets(f, lo: float, hi: float, n: int, k: int = 1) -> tuple:
     """The k-th sign-change bracket (a, b) of f on np.linspace(lo, hi, n),
     as Python floats.

@@ -7,8 +7,9 @@ Two closed-form dispersion relations back the cylinder catalogue entries:
 * crossproduct_root:   J_nu(k a) Y_nu(k b) - J_nu(k b) Y_nu(k a) = 0, the
   two-wall condition that closes separable annulus modes.
 
-General twisted annuli (metric controlled by a radial profile phi and twist
-parameter c) have no closed form; solve_cmetric_mode solves the first-order
+The twisted annulus, g = dr^2 + r^2 dtheta^2 + 2c dtheta dz + (c^2/r^2 + 1)
+dz^2 on r_lo <= r <= r_hi (the radial profile phi = r, twist c), has no
+closed form for general (c, n, m); solve_cmetric_mode solves the first-order
 system for the mode amplitudes (g, h, f) across the gap by Chebyshev
 collocation, as a generalized eigenproblem in the curl eigenvalue alpha with
 the wall condition at both ends.
@@ -19,13 +20,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.linalg import eig
 
-from .rootfind import SolverError, bisect_root, cheb, collocate, \
+from .rootfind import SolverError, _as_int, bisect_root, cheb, collocate, \
     scan_brackets
 from .specfun import bessel_j, bessel_j_prime, bessel_y
 
@@ -33,7 +34,6 @@ __all__ = [
     "SolverError",
     "ck_dispersion_root",
     "crossproduct_root",
-    "CMetricProfile",
     "CMetricMode",
     "solve_cmetric_mode",
 ]
@@ -45,7 +45,7 @@ def ck_dispersion_root(n: int, m: int, branch: int = 1,
     Returns (beta, alpha) with alpha = sqrt(beta^2 + m^2) > 0.  For n = 0
     the condition collapses to beta J_1(beta) = 0.
     """
-    n, m, branch = int(n), int(m), int(branch)
+    n, m, branch = _as_int("n", n), _as_int("m", m), _as_int("branch", branch)
     if n == 0 and m == 0:
         raise ValueError("mode numbers (n, m) = (0, 0) carry no wave")
     if branch < 1:
@@ -63,7 +63,7 @@ def ck_dispersion_root(n: int, m: int, branch: int = 1,
 def crossproduct_root(nu: float, a: float, b: float, branch: int = 1,
                       k_max: Optional[float] = None) -> float:
     """branch-th positive root of J_nu(ka) Y_nu(kb) - J_nu(kb) Y_nu(ka)."""
-    nu, a, b = float(nu), float(a), float(b)
+    nu, a, b, branch = float(nu), float(a), float(b), _as_int("branch", branch)
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
     if branch < 1:
@@ -86,42 +86,18 @@ def crossproduct_root(nu: float, a: float, b: float, branch: int = 1,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CMetricProfile:
-    """Radial data of a twisted-product metric on [r_lo, r_hi]:
-
-        g = diag-ish [1; phi^2, c; c, c^2/phi^2 + phi'^2]
-
-    phi and dphi must accept numpy arrays.  `linear` gives phi(r) = r, one
-    instance per (c, r_lo, r_hi), so the modes solved on it stay cached.
-    """
-
-    phi: Callable
-    dphi: Callable
-    c: float
-    r_lo: float
-    r_hi: float
-    label: str = "c-metric"
-
-    @classmethod
-    @functools.lru_cache(maxsize=None)
-    def linear(cls, c: float, r_lo: float, r_hi: float) -> "CMetricProfile":
-        return cls(phi=lambda r: np.asarray(r, dtype=float),
-                   dphi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                   c=float(c), r_lo=float(r_lo), r_hi=float(r_hi),
-                   label=f"linear(c={c})")
-
-
 @dataclass
 class CMetricMode:
     """A wall-to-wall eigenmode of the twisted annulus.
 
-    g and h are the rotational/axial mode amplitudes, f the radial one,
-    reconstructed as f = (n h - (m - c n/phi^2) g)/(alpha phi phi').
-    Profiles are the chopped Chebyshev series of the collocation eigenvector.
+    g and h are the rotational/axial mode amplitudes; the radial one is
+    f = (n h - (m - c n/r^2) g)/(alpha r).  Profiles are the chopped
+    Chebyshev series of the collocation eigenvector.
     """
 
-    profile: CMetricProfile
+    c: float
+    r_lo: float
+    r_hi: float
     n: int
     m: int
     branch: int
@@ -144,62 +120,51 @@ class CMetricMode:
     def dh(self, r):
         return self._dh(np.asarray(r, dtype=float))
 
-    def f(self, r):
-        r = np.asarray(r, dtype=float)
-        p = self.profile
-        phi = np.asarray(p.phi(r), dtype=float)
-        dphi = np.asarray(p.dphi(r), dtype=float)
-        mu = self.m - p.c * self.n / phi ** 2
-        return (self.n * self.h(r) - mu * self.g(r)) / (self.alpha * phi * dphi)
 
-
-def solve_cmetric_mode(profile: CMetricProfile, n: int, m: int,
+def solve_cmetric_mode(c: float, r_lo: float, r_hi: float, n: int, m: int,
                        branch: int = 1) -> CMetricMode:
-    """Locate the branch-th curl eigenvalue alpha above 0.1 and its mode.
+    """Locate the branch-th curl eigenvalue alpha above 0.1 and its mode on
+    the twisted annulus r_lo <= r <= r_hi with twist c (phi = r).
 
     Chebyshev collocation of the linear pencil A y = alpha B y in (g, h, f),
-    with mu = m - c n/phi^2:
+    with mu = m - c n/r^2:
 
-        g' + n f                       =  alpha (phi/phi') h
-        h' - (2 c phi'/phi^3) g + mu f =  -alpha (phi'/phi) g
-        n h - mu g                     =  alpha phi phi' f
+        g' + n f                 =  alpha r h
+        h' - (2 c/r^3) g + mu f  =  -alpha g/r
+        n h - mu g               =  alpha r f
 
     f vanishes at the walls, where the last row becomes the wall condition
     n h - mu g = 0; the g-row at r_lo and the h-row at r_hi are dropped.
     (g, h)(r_lo) is the unit vector along (n, mu(r_lo)).  Modes are cached
     per argument set.
     """
-    n, m, branch = int(n), int(m), int(branch)
+    n, m, branch = _as_int("n", n), _as_int("m", m), _as_int("branch", branch)
+    c, r_lo, r_hi = float(c), float(r_lo), float(r_hi)
     if n == 0 and m == 0:
         raise ValueError("mode numbers (n, m) = (0, 0) carry no wave")
     if branch < 1:
         raise ValueError("branch index must be >= 1")
-    if not (0.0 < profile.r_lo < profile.r_hi < math.inf
-            and math.isfinite(profile.c)):
+    if not (0.0 < r_lo < r_hi < math.inf and math.isfinite(c)):
         raise ValueError("the c-metric needs 0 < r_lo < r_hi < inf and a "
                          "finite c")
-    return _cmetric_mode(profile, n, m, branch)
+    return _cmetric_mode(c, r_lo, r_hi, n, m, branch)
 
 
 @functools.lru_cache(maxsize=None)
-def _cmetric_mode(profile, n, m, branch):
-    a, b, c = profile.r_lo, profile.r_hi, profile.c
-
+def _cmetric_mode(c, r_lo, r_hi, n, m, branch):
     def solve(N):
         x, D = cheb(N)  # point 0 is r_hi, point N is r_lo
-        r = a + 0.5 * (b - a) * (x + 1.0)
-        D = D * (2.0 / (b - a))
-        phi = np.asarray(profile.phi(r), dtype=float)
-        dphi = np.asarray(profile.dphi(r), dtype=float)
-        mu = m - c * n / phi ** 2
+        r = r_lo + 0.5 * (r_hi - r_lo) * (x + 1.0)
+        D = D * (2.0 / (r_hi - r_lo))
+        mu = m - c * n / r ** 2
         I, Z = np.eye(N + 1), np.zeros((N + 1, N + 1))
         F = I[:, 1:N]  # f lives on the interior points only
         A = np.block([[D, Z, n * F],
-                      [np.diag(-2.0 * c * dphi / phi ** 3), D, mu[:, None] * F],
+                      [np.diag(-2.0 * c / r ** 3), D, mu[:, None] * F],
                       [np.diag(-mu), n * I, 0.0 * F]])
-        B = np.block([[Z, np.diag(phi / dphi), 0.0 * F],
-                      [np.diag(-dphi / phi), Z, 0.0 * F],
-                      [Z, Z, (phi * dphi)[:, None] * F]])
+        B = np.block([[Z, np.diag(r), 0.0 * F],
+                      [np.diag(-1.0 / r), Z, 0.0 * F],
+                      [Z, Z, r[:, None] * F]])
         # drop the g-row at r_lo and the h-row at r_hi; the other three
         # choices of one g- or h-row per wall admit spurious eigenvalues
         keep = np.delete(np.arange(3 * N + 3), [N, N + 1])
@@ -215,10 +180,10 @@ def _cmetric_mode(profile, n, m, branch):
         return float(w[k].real), [y[:N + 1], y[N + 1:2 * N + 2]]
 
     alpha, (g_coefs, h_coefs) = collocate(solve)
-    g, h = (Chebyshev(cf, domain=[a, b]) for cf in (g_coefs, h_coefs))
-    mu_b = m - c * n / float(profile.phi(np.array([b]))[0]) ** 2
+    g, h = (Chebyshev(cf, domain=[r_lo, r_hi]) for cf in (g_coefs, h_coefs))
+    mu_b = m - c * n / r_hi ** 2
     return CMetricMode(
-        profile=profile, n=n, m=m, branch=branch, alpha=alpha,
-        boundary_residual=float(n * h(b) - mu_b * g(b)),
+        c=c, r_lo=r_lo, r_hi=r_hi, n=n, m=m, branch=branch, alpha=alpha,
+        boundary_residual=float(n * h(r_hi) - mu_b * g(r_hi)),
         _g=g, _h=h, _dg=g.deriv(), _dh=h.deriv(),
     )

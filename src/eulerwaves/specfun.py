@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.special import jv, jvp, yv, yvp
 
-from .rootfind import SolverError, bisect_root, cheb, collocate, \
+from .rootfind import SolverError, _as_int, bisect_root, cheb, collocate, \
     newton_polish, scan_brackets
 
 __all__ = [
@@ -200,7 +200,7 @@ def hyperbolic_radial_mode(n: int, m: int, r_max: float = 1.0) -> RadialMode:
     and R(r_max) = 0 because that point is dropped.  The m-th smallest
     E = -eigenvalue is the mode.  Modes are cached per argument set.
     """
-    n, m = int(n), int(m)
+    n, m = _as_int("n", n), _as_int("m", m)
     if n < 0:
         raise ValueError("radial order n must be >= 0 (pass |n|)")
     if m < 1:

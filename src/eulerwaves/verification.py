@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,12 +109,13 @@ def _resolve_tol(tol, name: str, dim: int) -> float:
     return value
 
 
-def _resolve_seed(seed) -> int:
-    """``seed`` as a non-negative int; ``bool`` is not a seed."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def _resolve_int(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; ``bool`` is not an int here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
-    seed = _resolve_seed(seed)
+    seed = _resolve_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([M.interior_grid(grid), M.random_interior(200, rng)])
     sp = sol.spectral
@@ -557,7 +557,8 @@ def skew_adjoint_quadrature(u: FourierStream, v: FourierStream,
     for divergence-free Fourier fields on the flat torus."""
     if not isinstance(u, FourierStream) or not isinstance(v, FourierStream):
         raise TypeError("skew_adjoint_quadrature needs FourierStream inputs")
-    seed = _resolve_seed(seed)
+    n = _resolve_int("n", n, 1)
+    seed = _resolve_int("seed", seed, 0)
     nodes = _torus_quad_nodes(n)
     value = _pair_identity(u.inverse_laplace().field_values(nodes),
                            _bracket_values(v, u, nodes))
@@ -576,7 +577,9 @@ def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8, n: int = 64,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
     """Randomized battery: the pair identity plus its polarized (bilinear)
     form  <A^-1 u, [v, w]> + <A^-1 w, [v, u]> = 0."""
-    seed = _resolve_seed(seed)
+    pairs = _resolve_int("pairs", pairs, 1)
+    n = _resolve_int("n", n, 1)
+    seed = _resolve_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     nodes = _torus_quad_nodes(n)
     pair_vals, polar_vals = [], []
@@ -599,7 +602,7 @@ def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8, n: int = 64,
     checks = [_check("skew-adjoint-pair", pair_vals, 1.0, tol),
               _check("skew-adjoint-polarized", polar_vals, 1.0, tol)]
     return ResidualReport(
-        solution="flat-torus-identity", params={"pairs": int(pairs)},
+        solution="flat-torus-identity", params={"pairs": pairs},
         grid=(n, n), times=[0.0], seed=seed,
         tolerances={"skew-adjoint-pair": float(tol),
                     "skew-adjoint-polarized": float(tol)}, checks=checks)
@@ -618,7 +621,7 @@ def _stationarity_probe(sol: ExactSolution, probe_time: float = 0.9,
     is a translation along the periodic angles, so components transport
     unchanged)."""
     M = sol.manifold
-    rng = np.random.default_rng(_resolve_seed(seed))
+    rng = np.random.default_rng(_resolve_int("seed", seed, 0))
     pts = M.random_interior(128, rng)
     u_now = sol.velocity(0.0, pts)
     scale = float(np.max(_norms(M, pts, u_now)))
@@ -669,7 +672,7 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     times = _resolve_times(times, default_times(sol.omega))
     for name in default_tolerances(M.dim):  # reject a bad tolerance up front
         _resolve_tol(tolerances, name, M.dim)
-    seed = _resolve_seed(seed)
+    seed = _resolve_int("seed", seed, 0)
     start = time.perf_counter()
 
     # Fields that overflow make non-finite rows, reported once below as

@@ -129,8 +129,7 @@ def test_criterion_4_linearized_residual():
 
 
 def test_criterion_5_closed_form_cross_validation():
-    profile = sv.CMetricProfile.linear(c=-0.3, r_lo=A0, r_hi=B0)
-    mode = sv.solve_cmetric_mode(profile, n=0, m=1, branch=1)
+    mode = sv.solve_cmetric_mode(-0.3, A0, B0, n=0, m=1, branch=1)
     rs = np.linspace(A0, B0, 60)
     g_ref = 5.0 * np.sqrt(rs) * np.cos(0.75 * rs)
     h_ref = (-3.0 * np.sin(0.75 * rs) / np.sqrt(rs)
@@ -141,8 +140,7 @@ def test_criterion_5_closed_form_cross_validation():
     dev_h = np.max(np.abs(mode.h(rs) - scale * h_ref)) / norm
     ok = dev_g <= 1e-7 and dev_h <= 1e-7
 
-    prof0 = sv.CMetricProfile.linear(c=0.0, r_lo=1.0, r_hi=2.0)
-    mode0 = sv.solve_cmetric_mode(prof0, n=0, m=1, branch=1)
+    mode0 = sv.solve_cmetric_mode(0.0, 1.0, 2.0, n=0, m=1, branch=1)
     beta = sv.crossproduct_root(1.0, 1.0, 2.0, 1)
     alpha_ref = math.sqrt(beta * beta + 1.0)
     rs0 = np.linspace(1.0, 2.0, 50)

@@ -537,13 +537,12 @@ def test_batched_evaluators_equal_row_by_row_bit_for_bit():
 
 
 # The profile core of each entry, and how often one wave evaluation calls it
-# (the twisted annulus reads g once directly and once through f).
 _PROFILE_CORES = {
     cat.kelvin_disk: (sf, "bessel_j", 1),
     cat.ck_cylinder: (sf, "bessel_j", 1),
     cat.kelvin_hyperbolic: (sf.RadialMode, "value", 1),
     cat.rossby_s3: (sf, "jacobi_poly", 1),
-    cat.twisted_annulus: (solvers.CMetricMode, "g", 2),
+    cat.twisted_annulus: (solvers.CMetricMode, "g", 1),
 }
 
 

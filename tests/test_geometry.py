@@ -280,8 +280,7 @@ def test_curl3_twisted_annulus_rotations():
     # In the twisted chart with phi(r) = r:
     #   curl d_theta = 2 d_z, curl d_z = 2 c^2/r^4 d_theta.
     c = -0.3
-    M = geo.cmetric_chart(lambda r: r, lambda r: np.ones_like(r), c,
-                          2 * np.pi / 3, 2 * np.pi)
+    M = geo.cmetric_chart(c, 2 * np.pi / 3, 2 * np.pi)
     pts = M.interior_grid((6, 6, 6))
     rot = constant_field((0.0, 1.0, 0.0))
     shift = constant_field((0.0, 0.0, 1.0))
@@ -363,13 +362,10 @@ def test_inertia_operator_disk_stream_route():
 
 
 def _all_charts():
-    from eulerwaves.solvers import CMetricProfile
-    profile = CMetricProfile.linear(-0.3, 2 * np.pi / 3, 2 * np.pi)
     return [geo.flat_torus(), geo.flat_torus3(), geo.flat_disk(),
             geo.round_sphere(), geo.hyperbolic_disk(), geo.three_sphere(),
             geo.solid_cylinder(),
-            geo.cmetric_chart(profile.phi, profile.dphi, profile.c,
-                              profile.r_lo, profile.r_hi)]
+            geo.cmetric_chart(-0.3, 2 * np.pi / 3, 2 * np.pi)]
 
 
 @pytest.mark.parametrize("M", _all_charts(), ids=lambda M: M.name)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import mpmath as mp
 
+from eulerwaves import catalogue as cat
 from eulerwaves import rootfind
 from eulerwaves import solvers as sv
 from eulerwaves import specfun as sf
@@ -201,23 +202,24 @@ def test_ck_dispersion_root_rejects_zero_mode():
 # ---------------------------------------------------------------------------
 
 
-def default_profile():
-    return sv.CMetricProfile.linear(c=-0.3, r_lo=A0, r_hi=B0)
+# the default twisted annulus: twist c and walls (r_lo, r_hi)
+DEFAULT_ANNULUS = (-0.3, A0, B0)
 
 
 def test_cmetric_default_annulus_alpha_is_five_quarters():
     # The worked twisted annulus: nu = sqrt(1+2 alpha c) = 1/2 collapses the
     # dispersion to sin(k(b-a)) with k = sqrt(alpha^2 - m^2); the joint root
     # is exactly alpha = 5/4 (k = 3/4).
-    mode = sv.solve_cmetric_mode(default_profile(), n=0, m=1, branch=1)
+    mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=0, m=1, branch=1)
     assert abs(mode.alpha - 1.25) < 1e-9
     assert abs(mode.boundary_residual) < 1e-9
 
 
 def test_cmetric_default_annulus_profiles_match_closed_form():
     # g = 5 sqrt(r) cos(3r/4), h = -3 r^{-1/2} sin(3r/4) + 2 r^{-3/2} cos(3r/4),
-    # f = -m g/(alpha r); all up to one common scale.
-    mode = sv.solve_cmetric_mode(default_profile(), n=0, m=1, branch=1)
+    # f = -m g/(alpha r); all up to one common scale.  The built wave's
+    # radial component at theta = z = 0 is i f.
+    mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=0, m=1, branch=1)
     rs = np.linspace(A0, B0, 60)
     g_ref = 5.0 * np.sqrt(rs) * np.cos(0.75 * rs)
     h_ref = -3.0 * np.sin(0.75 * rs) / np.sqrt(rs) + 2.0 * np.cos(0.75 * rs) / rs ** 1.5
@@ -226,16 +228,18 @@ def test_cmetric_default_annulus_profiles_match_closed_form():
     norm = np.max(np.abs(g_ref))
     assert np.max(np.abs(mode.g(rs) - scale * g_ref)) < 1e-7 * norm
     assert np.max(np.abs(mode.h(rs) - scale * h_ref)) < 1e-7 * norm
-    assert np.max(np.abs(mode.f(rs) - scale * f_ref)) < 1e-7 * norm
+    pts = np.stack([rs, np.zeros_like(rs), np.zeros_like(rs)], axis=1)
+    radial = cat.twisted_annulus(m=1).wave(0.0, pts)[:, 0]
+    assert np.max(np.abs(radial - 1j * scale * f_ref)) < 1e-7 * norm
 
 
 def test_cmetric_mode_collocation_residual():
     # Plug the returned profiles back into the first-order system.
-    mode = sv.solve_cmetric_mode(default_profile(), n=0, m=1, branch=1)
+    mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=0, m=1, branch=1)
     rs = np.linspace(A0 + 0.05, B0 - 0.05, 200)
     c, m, n, alpha = -0.3, 1, 0, mode.alpha
     mu = m - c * n / rs ** 2
-    den = alpha * rs  # phi phi' = r for the linear profile
+    den = alpha * rs  # alpha times the volume density r
     g, h = mode.g(rs), mode.h(rs)
     res_g = mode.dg(rs) - (n * mu * g + (alpha ** 2 * rs ** 2 - n ** 2) * h) / den
     res_h = mode.dh(rs) - ((2 * c * alpha / rs ** 2 + mu ** 2 - alpha ** 2) * g
@@ -250,11 +254,11 @@ def test_cmetric_untwisted_annulus_matches_bessel_closed_form():
     # eigencondition is the k-th root beta of the nu = 1 cross-product at the
     # walls, alpha = sqrt(beta^2 + m^2), and
     #   g(r) = -alpha beta r (Y1(ba) J1(br) - J1(ba) Y1(br)),  h = g'/(alpha r).
-    prof = sv.CMetricProfile.linear(c=0.0, r_lo=1.0, r_hi=2.0)
     rs = np.linspace(1.0, 2.0, 50)
     for m in (1, 2):
         for branch in (1, 2, 3):
-            mode = sv.solve_cmetric_mode(prof, n=0, m=m, branch=branch)
+            mode = sv.solve_cmetric_mode(0.0, 1.0, 2.0, n=0, m=m,
+                                         branch=branch)
             beta = sv.crossproduct_root(1.0, 1.0, 2.0, branch)
             alpha_ref = np.sqrt(beta ** 2 + m ** 2)
             assert abs(mode.alpha - alpha_ref) < 1e-10
@@ -282,14 +286,14 @@ def test_cmetric_twisted_branches_match_frozen_values():
                        2.3109396795341697)}
     for (n, m), alphas in frozen.items():
         for branch, alpha in enumerate(alphas, start=1):
-            mode = sv.solve_cmetric_mode(default_profile(), n=n, m=m,
+            mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=n, m=m,
                                          branch=branch)
             assert abs(mode.alpha - alpha) < 1e-10 * alpha, (n, m, branch)
 
 
 def test_cmetric_nonaxisymmetric_boundary_condition():
-    # n != 0 exercises the full boundary functional n h - (m - c n/phi^2) g.
-    mode = sv.solve_cmetric_mode(default_profile(), n=1, m=1, branch=1)
+    # n != 0 exercises the full boundary functional n h - (m - c n/r^2) g.
+    mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=1, m=1, branch=1)
     for r_end in (A0, B0):
         mu = 1.0 - (-0.3) * 1.0 / r_end ** 2
         val = 1.0 * mode.h(np.array([r_end]))[0] \
@@ -304,9 +308,38 @@ def test_cmetric_nonaxisymmetric_boundary_condition():
 
 def test_cmetric_rejects_degenerate_mode_numbers():
     with pytest.raises(ValueError):
-        sv.solve_cmetric_mode(default_profile(), n=0, m=0, branch=1)
+        sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=0, m=0, branch=1)
     for c, a, b in [(-0.3, 0.0, 1.0), (-0.3, 2.0, 1.0), (-0.3, 1.0, np.inf),
                     (np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0)]:
         with pytest.raises(ValueError):
-            sv.solve_cmetric_mode(sv.CMetricProfile.linear(c, a, b), n=0,
-                                  m=1)
+            sv.solve_cmetric_mode(c, a, b, n=0, m=1)
+
+
+def test_cmetric_mode_cache_key_covers_twist_and_walls():
+    mode = sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=1, m=1, branch=1)
+    assert sv.solve_cmetric_mode(*DEFAULT_ANNULUS, n=1, m=1, branch=1) is mode
+    for c, a, b in [(-0.2, A0, B0), (-0.3, 2.0, B0), (-0.3, A0, 6.0)]:
+        other = sv.solve_cmetric_mode(c, a, b, n=1, m=1, branch=1)
+        assert (other.c, other.r_lo, other.r_hi) == (c, a, b)
+        assert other.alpha != mode.alpha, (c, a, b)
+
+
+def test_mode_solvers_reject_non_integral_mode_numbers():
+    # each of these used to be truncated to an integral mode, without error
+    for solve, args in [
+            (sv.ck_dispersion_root, (1.5, 1)),
+            (sv.ck_dispersion_root, (1, True)),
+            (sv.ck_dispersion_root, (1, 1, 1.5)),
+            (sv.solve_cmetric_mode, DEFAULT_ANNULUS + (0, 1.9)),
+            (sv.solve_cmetric_mode, DEFAULT_ANNULUS + (True, 1)),
+            (sv.solve_cmetric_mode, DEFAULT_ANNULUS + (0, 1, np.float64(2.5))),
+            (sf.hyperbolic_radial_mode, (1.7, 1)),
+            (sf.hyperbolic_radial_mode, (1, True))]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            solve(*args)
+    # integral floats and numpy ints are integers
+    assert sv.ck_dispersion_root(1.0, np.int64(1)) == sv.ck_dispersion_root(1, 1)
+    # the builders keep their ConstructionError and message
+    with pytest.raises(cat.ConstructionError,
+                       match="parameter 'm' must be an integer, got 1.9"):
+        cat.twisted_annulus(m=1.9)

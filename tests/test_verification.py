@@ -370,6 +370,18 @@ def test_skew_adjoint_battery():
     assert by_name["skew-adjoint-polarized"].sup <= 1e-8
 
 
+def test_skew_adjoint_checks_reject_empty_batteries_and_grids():
+    # pairs = 0 or a negative count used to pass with nothing checked
+    u = ver.FourierStream.from_modes([(1, 0, 1.0)])
+    for bad in (0, -3, 2.0, True):
+        with pytest.raises(ValueError, match="pairs"):
+            ver.skew_adjoint_battery(pairs=bad)
+        with pytest.raises(ValueError, match="n must"):
+            ver.skew_adjoint_battery(pairs=1, n=bad)
+        with pytest.raises(ValueError, match="n must"):
+            ver.skew_adjoint_quadrature(u, u, n=bad)
+
+
 def test_fourier_stream_sums_equal_per_order_formula_bit_for_bit():
     # one phase per mode serves every derivative order; the sums keep the
     # per-order accumulation, so they equal the one-order-at-a-time formula
