@@ -21,11 +21,13 @@ of the one bounded chart coordinate times a Fourier phase e^{i k.x} of the
 periodic ones, built by ``_separable``.
 
 Constructors return :class:`ExactSolution`; :data:`CATALOGUE` maps the public
-entry keys onto them with their default parameters.
+entry keys onto them.  Each entry's default parameters are its builder's
+keyword defaults, read from the builder's signature once, at import.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -691,47 +693,42 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
 
 @dataclass(frozen=True)
 class CatalogueEntry:
+    """A public entry; ``defaults`` are its builder's keyword defaults."""
+
     key: str
     builder: Callable[..., ExactSolution]
-    defaults: dict
     dim: int
     summary: str
+    defaults: dict = field(init=False)
+
+    def __post_init__(self):
+        params = inspect.signature(self.builder).parameters
+        object.__setattr__(self, "defaults",
+                           {name: p.default for name, p in params.items()})
 
 
 CATALOGUE: dict[str, CatalogueEntry] = {
     e.key: e for e in [
         CatalogueEntry(
-            key="kelvin-torus", builder=kelvin_torus,
-            defaults={"n": 1, "m": 2, "rho": 1.0, "sigma": 0.0}, dim=2,
+            key="kelvin-torus", builder=kelvin_torus, dim=2,
             summary="travelling plane wave on a sheared flat torus"),
         CatalogueEntry(
-            key="kelvin-disk", builder=kelvin_disk,
-            defaults={"n": 1, "m": 1, "rho": 1.0, "sigma": 0.0}, dim=2,
+            key="kelvin-disk", builder=kelvin_disk, dim=2,
             summary="rotating Bessel mode inside rigid rotation on the disk"),
         CatalogueEntry(
-            key="rossby-sphere", builder=rossby_sphere,
-            defaults={"n": 1, "m": 2, "rho": 1.0, "sigma": 0.0}, dim=2,
+            key="rossby-sphere", builder=rossby_sphere, dim=2,
             summary="Rossby-Haurwitz waves on the round two-sphere"),
         CatalogueEntry(
-            key="kelvin-hyperbolic", builder=kelvin_hyperbolic,
-            defaults={"n": 1, "m": 1, "r_max": 1.0, "rho": 1.0, "sigma": 0.0},
-            dim=2,
+            key="kelvin-hyperbolic", builder=kelvin_hyperbolic, dim=2,
             summary="rotating wave in a geodesic disk of the hyperbolic plane"),
         CatalogueEntry(
-            key="rossby-s3", builder=rossby_s3,
-            defaults={"j": 1, "k": 0, "d": 0, "sign": "-",
-                      "rho": 1.0, "sigma": 0.0}, dim=3,
+            key="rossby-s3", builder=rossby_s3, dim=3,
             summary="Hopf-harmonic rotating wave on the round 3-sphere"),
         CatalogueEntry(
-            key="ck-cylinder", builder=ck_cylinder,
-            defaults={"n": 1, "m": 1, "branch": 1, "rho": 1.0, "sigma": 0.0},
-            dim=3,
+            key="ck-cylinder", builder=ck_cylinder, dim=3,
             summary="helical Bessel wave in the rotating solid cylinder"),
         CatalogueEntry(
-            key="twisted-annulus", builder=twisted_annulus,
-            defaults={"m": 1, "n": 0, "c": -0.3,
-                      "r_lo": 2.0 * math.pi / 3.0, "r_hi": 2.0 * math.pi,
-                      "branch": 1, "rho": 1.0, "sigma": 0.0}, dim=3,
+            key="twisted-annulus", builder=twisted_annulus, dim=3,
             summary="curl eigenmode wave on a twisted annulus-circle product"),
     ]
 }

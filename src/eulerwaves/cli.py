@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -23,8 +22,7 @@ from . import verification as ver
 from .catalogue import ConstructionError
 from .solvers import SolverError
 
-__all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_CHECK_FAILED",
-           "EXIT_ERROR", "EXIT_USAGE"]
+__all__ = ["main", "EXIT_OK", "EXIT_CHECK_FAILED", "EXIT_ERROR", "EXIT_USAGE"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,18 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    key: str
-    params: dict
-    grid: Optional[tuple] = None
-    times: Optional[list] = None
-    tolerances: Optional[object] = None
-    out: Optional[str] = None
-    format: str = "json"
-    seed: int = ver.DEFAULT_SEED
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -218,25 +204,28 @@ def cmd_describe(key: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(ns, params: dict, grid, times, tolerances) -> int:
     try:
-        sol = cat.build(cfg.key, **cfg.params)
-        report = ver.run_verification(sol, grid=cfg.grid, times=cfg.times,
-                                      tolerances=cfg.tolerances,
-                                      seed=cfg.seed)
+        sol = cat.build(ns.key, **params)
+        report = ver.run_verification(sol, grid=grid, times=times,
+                                      tolerances=tolerances, seed=ns.seed)
     except (ConstructionError, SolverError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:  # run_verification's grid, times, seed, --tol
         raise UsageError(str(exc))
+    except MemoryError:
+        raise UsageError(f"the grid ({ns.grid or 'default'}) and times "
+                         f"({ns.times or 'default'}) need more memory than "
+                         f"is available")
     payload = report.to_json_bytes()
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
+    if ns.out:
+        with open(ns.out, "wb") as fh:
             fh.write(payload)
         for line in report.summary_lines():
             print(line)
-        print(f"report written to {cfg.out}")
-    elif cfg.format == "text":
+        print(f"report written to {ns.out}")
+    elif ns.format == "text":
         for line in report.summary_lines():
             print(line)
     else:
@@ -285,7 +274,7 @@ def cmd_eigen(ns) -> int:
         doc = {"schema": 1, "version": __version__, "problem": problem,
                "params": params, "results": results}
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except (SolverError, ConstructionError, ValueError) as exc:
+    except (SolverError, ConstructionError, ValueError, MemoryError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -319,7 +308,7 @@ def cmd_trace(ns, params: dict) -> int:
         raise UsageError("--dt must be positive")
     try:
         traj = tracer.integrate_trajectory(sol, start, ns.t0, ns.t1, ns.dt)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"trace failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if ns.out:
@@ -348,13 +337,9 @@ def main(argv=None) -> int:
         if ns.command == "verify":
             entry = _entry(ns.key)
             params = _solution_params(entry, extra)
-            cfg = RunConfig(
-                key=ns.key, params=params,
-                grid=_parse_grid(ns.grid),
-                times=_parse_times(ns.times),
-                tolerances=_parse_tolerances(ns.tol, entry.dim),
-                out=ns.out, format=ns.format, seed=ns.seed)
-            return cmd_verify(cfg)
+            return cmd_verify(ns, params, _parse_grid(ns.grid),
+                              _parse_times(ns.times),
+                              _parse_tolerances(ns.tol, entry.dim))
         if ns.command == "eigen":
             _no_extras(extra)
             return cmd_eigen(ns)

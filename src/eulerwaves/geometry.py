@@ -64,6 +64,9 @@ FD_STEP_FRACTION = 1e-2
 # from the evaluation point; 6 leaves slack.
 STENCIL_PAD_STEPS = 6.0
 
+# Clearance from a chart-singular end, as a fraction of the axis range.
+_SINGULAR_MARGIN = 5e-2
+
 STATUS_EXITED = "exited-domain"
 STATUS_SINGULAR = "hit-singular-margin"
 
@@ -179,6 +182,9 @@ class MetricEntries:
 
 @dataclass(frozen=True, eq=False)
 class ChartedManifold:
+    """One chart.  Chart-singular ends keep the module constant
+    ``_SINGULAR_MARGIN`` of their axis range clear."""
+
     name: str
     dim: int
     coords: tuple
@@ -188,7 +194,6 @@ class ChartedManifold:
     singular_lower: tuple = ()
     singular_upper: tuple = ()
     boundaries: tuple = ()
-    singular_margin: float = 5e-2
 
     def __post_init__(self):
         if not isinstance(self.metric, ChartMetric) \
@@ -205,7 +210,7 @@ class ChartedManifold:
         axes, lo_ok, hi_ok = [], [], []
         for axis, (lo, hi) in enumerate(self.ranges):
             if not self.periodic[axis]:
-                m = self.singular_margin * (hi - lo)
+                m = _SINGULAR_MARGIN * (hi - lo)
                 axes.append(axis)
                 lo_ok.append(lo + m if self.singular_lower[axis] else lo)
                 hi_ok.append(hi - m if self.singular_upper[axis] else hi)
@@ -227,8 +232,8 @@ class ChartedManifold:
             return lo, hi
         span = hi - lo
         pad = STENCIL_PAD_STEPS * self.fd_steps()[axis]
-        lo_pad = self.singular_margin * span if self.singular_lower[axis] else pad
-        hi_pad = self.singular_margin * span if self.singular_upper[axis] else pad
+        lo_pad = _SINGULAR_MARGIN * span if self.singular_lower[axis] else pad
+        hi_pad = _SINGULAR_MARGIN * span if self.singular_upper[axis] else pad
         return lo + lo_pad, hi - hi_pad
 
     def axis_nodes(self, axis: int, n: int) -> np.ndarray:

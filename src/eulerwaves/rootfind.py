@@ -60,8 +60,9 @@ def scan_brackets(f, lo: float, hi: float, n: int, k: int = 1) -> tuple:
                       f"need {k}")
 
 
-def bisect_root(f, a: float, b: float, xtol: float = 1e-13,
-                maxiter: int = 200) -> float:
+def bisect_root(f, a: float, b: float) -> float:
+    """A root of f on the sign-change bracket [a, b], bisected to 1e-13
+    relative width in at most 200 steps."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -69,10 +70,10 @@ def bisect_root(f, a: float, b: float, xtol: float = 1e-13,
         return b
     if np.sign(fa) == np.sign(fb):
         raise ValueError("bisect_root: no sign change on the bracket")
-    for _ in range(maxiter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         fm = f(mid)
-        if fm == 0.0 or (b - a) < xtol * max(1.0, abs(mid)):
+        if fm == 0.0 or (b - a) < 1e-13 * max(1.0, abs(mid)):
             return mid
         if np.sign(fm) == np.sign(fa):
             a, fa = mid, fm
@@ -81,10 +82,10 @@ def bisect_root(f, a: float, b: float, xtol: float = 1e-13,
     return 0.5 * (a + b)
 
 
-def newton_polish(f, df, x0: float, steps: int = 3) -> float:
-    """A few guarded Newton iterations after bisection."""
+def newton_polish(f, df, x0: float) -> float:
+    """Three guarded Newton iterations after bisection."""
     x = x0
-    for _ in range(steps):
+    for _ in range(3):
         d = df(x)
         if d == 0.0 or not np.isfinite(d):
             break

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -38,9 +37,9 @@ __all__ = [
     "solve_cmetric_mode",
 ]
 
-def ck_dispersion_root(n: int, m: int, branch: int = 1,
-                       beta_max: float = 80.0) -> tuple:
-    """branch-th positive root of  m beta J_n'(beta) + n alpha J_n(beta) = 0.
+def ck_dispersion_root(n: int, m: int, branch: int = 1) -> tuple:
+    """branch-th positive root of  m beta J_n'(beta) + n alpha J_n(beta) = 0
+    on 0.05 <= beta <= 80.
 
     Returns (beta, alpha) with alpha = sqrt(beta^2 + m^2) > 0.  For n = 0
     the condition collapses to beta J_1(beta) = 0.
@@ -56,21 +55,19 @@ def ck_dispersion_root(n: int, m: int, branch: int = 1,
         return (m * beta * bessel_j_prime(n, beta)
                 + n * alpha * bessel_j(n, beta))
 
-    beta = bisect_root(D, *scan_brackets(D, 0.05, beta_max, 1600, branch))
+    beta = bisect_root(D, *scan_brackets(D, 0.05, 80.0, 1600, branch))
     return float(beta), float(math.sqrt(beta * beta + m * m))
 
 
-def crossproduct_root(nu: float, a: float, b: float, branch: int = 1,
-                      k_max: Optional[float] = None) -> float:
+def crossproduct_root(nu: float, a: float, b: float, branch: int = 1) -> float:
     """branch-th positive root of J_nu(ka) Y_nu(kb) - J_nu(kb) Y_nu(ka)."""
     nu, a, b, branch = float(nu), float(a), float(b), _as_int("branch", branch)
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
     if branch < 1:
         raise ValueError("branch index must be >= 1")
-    if k_max is None:
-        # roots are asymptotically pi/(b-a) apart
-        k_max = (branch + 6) * math.pi / (b - a)
+    # roots are asymptotically pi/(b-a) apart
+    k_max = (branch + 6) * math.pi / (b - a)
 
     def f(k):
         return (bessel_j(nu, k * a) * bessel_y(nu, k * b)

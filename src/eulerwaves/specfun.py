@@ -77,6 +77,7 @@ def bessel_j_zero(nu: float, k: int) -> float:
     nu = float(nu)
     if nu < 0:
         raise ValueError("bessel_j_zero needs nu >= 0")
+    k = _as_int("k", k)
     if k < 1:
         raise ValueError("bessel_j_zero needs k >= 1")
     f = lambda x: jv(nu, x)

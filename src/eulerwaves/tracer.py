@@ -154,8 +154,12 @@ def closure_test(traj: Trajectory, radius: float) -> Optional[float]:
     """First return of the state to within `radius` of the start, measured
     with the chart metric frozen at the start point.  Heuristic: the scan
     only reports a return after the state has first left twice the radius,
-    and says nothing about exact periodicity.
+    and says nothing about exact periodicity.  The radius must be finite
+    and positive.
     """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"closure radius must be finite and > 0, "
+                         f"got {radius!r}")
     if traj.status != STATUS_COMPLETED:
         raise ValueError("closure test needs a completed trajectory")
     if traj.manifold is None:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eulerwaves import solvers
 from eulerwaves import specfun as sf
 
 _LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
@@ -52,3 +53,17 @@ def test_recorder_installs_and_restores_library_sites():
     assert [(o, a) for o, a, _ in after] == [(o, a) for o, a, _ in before]
     assert all(value is original for (_, _, value), (_, _, original)
                in zip(after, before))
+
+
+def test_recorder_counts_scan_and_bisection_by_position():
+    # the scan and bisection hooks read lo, hi, n and the bracket by
+    # position, so a dispersion root run inside them must count both steps
+    # and find the untraced root
+    untraced = solvers.ck_dispersion_root(1, 1)
+    layers = _load_layers()
+    rec = layers.Recorder()
+    with rec.installed():
+        traced = solvers.ck_dispersion_root(1, 1)
+    assert rec.counts["scan_evals"] > 0
+    assert rec.counts["bisect_evals"] > 0
+    assert traced == untraced

@@ -7,6 +7,7 @@ rational values where they exist.
 """
 
 import functools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -412,6 +413,20 @@ def test_registry_builds_all_entries_with_defaults():
         sol = cat.build(key)
         assert sol.key == key
         assert sol.manifold.dim in (2, 3)
+
+
+def test_registry_defaults_are_the_builders_defaults(monkeypatch):
+    # read once at import, in signature order; build() does not introspect
+    assert list(cat.CATALOGUE["twisted-annulus"].defaults.items()) == [
+        ("m", 1), ("n", 0), ("c", -0.3), ("r_lo", 2.0 * math.pi / 3.0),
+        ("r_hi", 2.0 * math.pi), ("branch", 1), ("rho", 1.0),
+        ("sigma", 0.0)]
+
+    def no_introspection(*args, **kwargs):
+        raise AssertionError("build() introspected a builder")
+
+    monkeypatch.setattr(cat.inspect, "signature", no_introspection)
+    assert cat.build("kelvin-torus", m=3).params["m"] == 3
 
 
 def test_build_rejects_unknown_keys_and_params():

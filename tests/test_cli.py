@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -37,6 +39,17 @@ def test_list_output_stable(capsys):
     run_cli("list")
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (["list"], "5a95593afe4e7da2"),
+    (["describe", "twisted-annulus"], "2bad0e54d3940031"),
+])
+def test_catalogue_listing_is_pinned(capsys, argv, pin):
+    # the parameter schema and defaults of every entry, byte for byte
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin
 
 
 def test_describe_shows_defaults(capsys):
@@ -344,6 +357,49 @@ def test_trace_step_count_overflow_exits_2(capsys):
                    "--t1", "1e308", "--dt", "1e-300")
     assert code == 2
     assert "trace failed" in capsys.readouterr().err
+
+
+# The child caps its address space at 4 GiB after the imports, so an
+# allocation of terabytes fails at once, whatever the host's memory.
+_CAPPED_CLI = """
+import resource, sys
+from eulerwaves import cli
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_capped(*argv):
+    pytest.importorskip("resource")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+@pytest.mark.parametrize("argv, failure", [
+    # 6.3e12 steps: the sample buffer would take 91.4 TiB
+    (["trace", "kelvin-torus", "--start", "1,1", "--dt", "1e-12"],
+     "trace failed: "),
+    # the scan grid up to the 10^12-th zero of J_1 would take 45.7 TiB
+    (["eigen", "disk-beta", "--n", "1", "--m", "1000000000000"],
+     "solver failed: "),
+])
+def test_out_of_memory_exits_2(argv, failure):
+    proc = _run_capped(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(failure)
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_out_of_memory_is_usage_error():
+    # 10^12 grid points: the interior grid alone would take 7.28 TiB
+    proc = _run_capped("verify", "kelvin-torus", "--grid", "1000000,1000000",
+                       "--times", "0.7")
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error: ")
+    assert "1000000,1000000" in proc.stderr and "0.7" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_annulus_interval_aliases(tmp_path):

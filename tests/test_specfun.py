@@ -148,6 +148,11 @@ def test_bessel_j_zero_rejects_bad_input():
         sf.bessel_j_zero(-1.0, 1)
     with pytest.raises(ValueError):
         sf.bessel_j_zero(0, 0)
+    # the one integer rule of the mode solvers: a bool is not k = 1, and
+    # 2.5 is refused before any scan
+    for k in (True, 2.5):
+        with pytest.raises(ValueError, match="parameter 'k' must be an int"):
+            sf.bessel_j_zero(1, k)
 
 
 # ---------------------------------------------------------------------------

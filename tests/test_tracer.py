@@ -211,6 +211,15 @@ def test_torus_closure_is_exploratory():
     assert result is None or result > 0.0
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_closure_rejects_degenerate_radius(radius):
+    # None would claim the orbit never returns; the radius is at fault
+    sol = _synthetic(geo.flat_disk(), (0.0, 1.0))
+    traj = tr.integrate_trajectory(sol, (0.5, 0.0), 0.0, 1.0, dt=1e-2)
+    with pytest.raises(ValueError, match="closure radius"):
+        tr.closure_test(traj, radius)
+
+
 def test_closure_requires_completed():
     sol = _synthetic(geo.flat_disk(), (1.0, 0.0))
     traj = tr.integrate_trajectory(sol, (0.5, 0.0), 0.0, 5.0, dt=1e-2)
