@@ -140,6 +140,10 @@ class ExactSolution:
             raise ConstructionError(
                 f"{self.key} needs a finite amplitude rho and phase sigma, "
                 f"got rho={self.rho!r}, sigma={self.sigma!r}")
+        # sigma modulo 2 pi, into [-pi, pi]: exact, and the identity on
+        # |sigma| <= pi; a sigma of 1e16 would otherwise swallow omega t
+        # whole in phase().  Done once here, not on every field call.
+        self.sigma = math.remainder(self.sigma, 2.0 * math.pi)
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -163,22 +167,19 @@ class ExactSolution:
 
     # -- the solution and its linearisation ----------------------------------
 
-    def _rotate(self, z, t: float, pts, base=None, linearized: bool = False,
-                dt: bool = False) -> np.ndarray:
-        """``base + Re(c * rho * e^{i phase(t)} * z(t, pts))`` with c = 1,
-        -i for the linearised wave, and an extra factor i omega for d/dt.
+    def _rotate(self, z, t: float, pts, base=None,
+                linearized: bool = False) -> np.ndarray:
+        """``base + Re(c * rho * e^{i phase(t)} * z(t, pts))`` with c = 1, or
+        c = -i for the linearised wave.
 
-        The coefficient pair (a, b) of the complex prefactor is built as
-        ``r * (cos, sin)`` with r = rho or rho * omega and then turned by
-        swaps and negations only, which are exact.  Summed as
-        ``base + a Re z - b Im z``, the result equals the written-out real
-        form bit for bit, which keeps report bytes stable.
+        The coefficient pair (a, b) of the complex prefactor is
+        ``rho * (cos, sin)`` of the phase, turned by a swap and a negation
+        (exact) for c = -i.  Summed as ``base + a Re z - b Im z``, the result
+        equals the written-out real form bit for bit, which keeps report
+        bytes stable.
         """
         ph = self.phase(t)
-        r = self.rho * self.spectral.omega if dt else self.rho
-        a, b = r * np.cos(ph), r * np.sin(ph)
-        if dt:
-            a, b = -b, a
+        a, b = self.rho * np.cos(ph), self.rho * np.sin(ph)
         if linearized:
             a, b = b, -a
         pts = _as_points(pts, self.dim)

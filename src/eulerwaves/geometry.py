@@ -449,9 +449,13 @@ def lie_bracket(M: ChartedManifold, u, v, t: float, pts: np.ndarray,
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     ju = field_jacobian(M, u, t, pts, h_scale)
     jv = field_jacobian(M, v, t, pts, h_scale)
-    uv = np.asarray(u(t, pts))
-    vv = np.asarray(v(t, pts))
-    return np.einsum("nij,nj->ni", jv, uv) - np.einsum("nij,nj->ni", ju, vv)
+    return _lie_form(np.asarray(u(t, pts)), ju, np.asarray(v(t, pts)), jv)
+
+
+def _lie_form(u: np.ndarray, ju: np.ndarray, v: np.ndarray,
+              jv: np.ndarray) -> np.ndarray:
+    """[u, v] pointwise from the values and Jacobians of its two arguments."""
+    return np.einsum("nij,nj->ni", jv, u) - np.einsum("nij,nj->ni", ju, v)
 
 
 def poisson_bracket(M: ChartedManifold, f, g, t: float, pts: np.ndarray,
@@ -465,11 +469,15 @@ def poisson_bracket(M: ChartedManifold, f, g, t: float, pts: np.ndarray,
         raise ValueError("poisson bracket is a 2D operation")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     h = M.fd_steps(h_scale)
-    f1 = fd_partial(f, t, pts, 0, h[0])
-    f2 = fd_partial(f, t, pts, 1, h[1])
-    g1 = fd_partial(g, t, pts, 0, h[0])
-    g2 = fd_partial(g, t, pts, 1, h[1])
-    return (f2 * g1 - f1 * g2) / M.sqrt_det(pts)
+    df, dg = ([fd_partial(k, t, pts, axis, h[axis]) for axis in (0, 1)]
+              for k in (f, g))
+    return _poisson_form(df, dg, M.sqrt_det(pts))
+
+
+def _poisson_form(df, dg, sqrt_det: np.ndarray) -> np.ndarray:
+    """{f, g} pointwise from the first partials (d_1, d_2) of its two
+    arguments and the volume density."""
+    return (df[1] * dg[0] - df[0] * dg[1]) / sqrt_det
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,26 @@ solution, reports its sup and mean magnitude over deterministic sample sets,
 and normalizes by the sup of the dominant constituent so tolerances are
 scale-free.  A report is a plain data object with canonical JSON bytes:
 identical configuration always produces identical bytes.
+
+The Euler and the linearized residual come from one sweep.  With b the base,
+z the complex wave, u = b + Re(rho e^{i phi(t)} z) and the companion wave
+v = Re(-i rho e^{i phi(t)} z), A linear and B bilinear, each residual is
+
+    R(t) = R0 + Re(e^{i phi} R1) + Re(e^{2i phi} R2),
+
+    euler       R0 = B(b, Ab) + rho^2/2 Re B(z, conj Az)
+                R1 = rho (i omega Az + B(b, Az) + B(z, Ab))
+                R2 = rho^2/2 B(z, Az)
+    linearized  R0 = 0
+                R1 = rho (omega Az - i (B(b, Az) + B(z, Ab)))
+                R2 = -i rho^2 B(z, Az)
+
+so five brackets per finite-difference step scale serve both rows at every
+sampled time.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -296,8 +311,10 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
 # ---------------------------------------------------------------------------
 
 
-def _residual_check(M, times, tol_value, name, residual_at):
-    """Shared sweep: residual at scale 1 plus a Richardson re-run at 1/2.
+def _residual_check(M, tol_value, name, mags, normalizer, mags_half):
+    """A residual row from its magnitudes over grid x times at step scale 1
+    and its normalizer, plus the Richardson block from the magnitudes of a
+    re-run at scale 1/2.
 
     With 4th-order stencils the sup must shrink by >= 8 under halving -- but
     only while truncation dominates rounding.  The nested evaluations divide
@@ -306,12 +323,8 @@ def _residual_check(M, times, tol_value, name, residual_at):
     generous multiple of eps * normalizer / h^depth the ratio is meaningless
     and is reported as null alongside the floor estimate that retired it.
     """
-    results = [residual_at(t, 1.0) for t in times]
-    mags = np.concatenate([r[0] for r in results])
-    normalizer = max(r[1] for r in results)
-    halved = [residual_at(t, 0.5) for t in times]
     sup_h = float(np.max(mags)) if mags.size else 0.0
-    sup_h2 = float(max(np.max(r[0]) for r in halved))
+    sup_h2 = float(np.max(mags_half))
     depth = 3 if M.dim == 2 else 2
     floor = (256.0 * np.finfo(float).eps * max(normalizer, 1.0)
              / min(M.fd_steps(0.5)) ** depth)
@@ -323,65 +336,124 @@ def _residual_check(M, times, tol_value, name, residual_at):
     return _check(name, mags, normalizer, tol_value), richardson
 
 
-def _residual(sol: ExactSolution, grid, times, tol, name: str,
-              linearized: bool = False) -> ResidualReport:
-    """The Euler-Arnold residual  d_t(A v) + B(u, A v)  of the velocity
-    (v = u), or its linearization  d_t(A v) + B(u, A v) + B(v, A u)  along
-    the solution, evaluated on the phase-shifted wave v.
+def _harmonics(sol: ExactSolution, pts: np.ndarray, s: float) -> tuple:
+    """The phase harmonics (R0, R1, R2) at ``pts`` and step scale ``s`` of
+    the Euler and the linearized residual (see ``_residuals``) and of the
+    image A u or A v that normalizes each, as
+    ``((euler, A u), (linearized, A v))``.
 
-    On surfaces A is the Laplace-Beltrami operator and B the Poisson bracket,
-    acting on stream functions (vorticity form); in 3D A is the curl and B
-    the Lie bracket, acting on velocities (curl form).  The chart dimension
-    picks (A, B), the complex field z (``psi_wave`` or ``wave``) and the
-    base (``psi_base`` or ``base_flow``) once; u, v and the analytic d_t v
-    are then all ``sol._rotate`` of that z.  Sup over grid x times,
-    normalized by sup |A v|.
+    The FD operators are linear, so these are the nested stencils of u and
+    v expanded.  The values and first partials of b, z, A b and A z are
+    taken once, and each bracket is a pointwise combination of them.
+    """
+    M = sol.manifold
+    if M.dim == 2:
+        A, b, z = geo.laplace_beltrami, sol.psi_base, sol.psi_wave
+        h = M.fd_steps(s)
+        rg = M.sqrt_det(pts)
+
+        def jet(f):
+            return f(0.0, pts), [geo.fd_partial(f, 0.0, pts, axis, h[axis])
+                                 for axis in (0, 1)]
+
+        def bracket(f, g):
+            return geo._poisson_form(f[1], g[1], rg)
+    else:
+        A, b, z = geo.curl3, sol.base_flow, sol.wave
+
+        def jet(f):
+            return f(0.0, pts), geo.field_jacobian(M, f, 0.0, pts, s)
+
+        def bracket(f, g):
+            return geo._lie_form(f[0], f[1], g[0], g[1])
+
+    def image(f):
+        return lambda t, q: A(M, f, t, q, h_scale=s)
+
+    jb, jz, jAb, jAz = (jet(f) for f in (b, z, image(b), image(z)))
+    Ab, Az = jAb[0], jAz[0]
+    cross = bracket(jb, jAz) + bracket(jz, jAb)
+    zAz = bracket(jz, jAz)
+    zAz_bar = bracket(jz, (np.conj(Az), np.conj(jAz[1])))
+    rho, omega = sol.rho, sol.omega
+    rho2 = rho * rho  # a float power would raise OverflowError at 1e200
+    euler = ((bracket(jb, jAb) + 0.5 * rho2 * zAz_bar.real,
+              rho * (1j * omega * Az + cross), 0.5 * rho2 * zAz),
+             (Ab, rho * Az, 0.0))
+    linear = ((0.0, rho * (omega * Az - 1j * cross), -1j * rho2 * zAz),
+              (0.0, -1j * rho * Az, 0.0))
+    return euler, linear
+
+
+def _residuals(sol: ExactSolution, grid, times, tol) -> tuple:
+    """The Euler-Arnold residual  d_t(A u) + B(u, A u)  of the velocity u,
+    and its linearization  d_t(A v) + B(u, A v) + B(v, A u)  along the
+    solution on the phase-shifted wave v, as the reports
+    ``(euler, linearized)``.
+
+    On surfaces A is the Laplace-Beltrami operator and B the Poisson bracket
+    {f, g} = (d_2 f d_1 g - d_1 f d_2 g) / sqrt(g), acting on stream
+    functions (vorticity form); in 3D A is the curl and B the Lie bracket
+    [u, v] = J_v u - J_u v, acting on velocities (curl form).  With b the
+    base (``psi_base`` or ``base_flow``) and z the wave (``psi_wave`` or
+    ``wave``), which does not depend on t,
+    u = b + Re(rho e^{i phi} z) and v = Re(-i rho e^{i phi} z), so each
+    residual is R(t) = R0 + Re(e^{i phi} R1) + Re(e^{2i phi} R2):
+
+        euler       R0 = B(b, Ab) + rho^2/2 Re B(z, conj Az)
+                    R1 = rho (i omega Az + B(b, Az) + B(z, Ab))
+                    R2 = rho^2/2 B(z, Az)
+        linearized  R0 = 0
+                    R1 = rho (omega Az - i (B(b, Az) + B(z, Ab)))
+                    R2 = -i rho^2 B(z, Az)
+
+    ``_harmonics`` builds the R_k once per step scale, and every sampled
+    time is pointwise arithmetic on them, with no field evaluation.  Each
+    row is the sup over grid x times, normalized by the sup of |A u| or
+    |A v| there, with a Richardson block.
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
     times = _resolve_times(times, default_times(sol.omega))
-    tol_value = _resolve_tol(tol, name, M.dim)
+    names = ("euler-residual", "linearized-residual")
+    tols = [_resolve_tol(tol, name, M.dim) for name in names]
     pts = M.interior_grid(grid)
-    if M.dim == 2:
-        A, B, z, base, mag = (geo.laplace_beltrami, geo.poisson_bracket,
-                              sol.psi_wave, sol.psi_base, np.abs)
-    else:
-        A, B, z, base, mag = (geo.curl3, geo.lie_bracket, sol.wave,
-                              sol.base_flow, functools.partial(_norms, M, pts))
-    rotate = functools.partial(sol._rotate, z)
-    u = functools.partial(rotate, base=base)
-    v = functools.partial(rotate, linearized=True) if linearized else u
-    v_dt = functools.partial(rotate, linearized=linearized, dt=True)
 
-    def residual_at(t, s):
-        def image(f):
-            return lambda tt, pp: A(M, f, tt, pp, h_scale=s)
+    def mag(r):
+        return np.abs(r) if M.dim == 2 else _norms(M, pts, r)
 
-        Av = image(v)
-        r = A(M, v_dt, t, pts, h_scale=s) + B(M, u, Av, t, pts, h_scale=s)
-        if linearized:
-            r = r + B(M, v, image(u), t, pts, h_scale=s)
-        return mag(r), float(np.max(mag(Av(t, pts))))
+    phases = [np.exp(1j * sol.phase(t)) for t in times]
 
-    check, richardson = _residual_check(M, times, tol_value, name,
-                                        residual_at)
-    return _report(sol, grid, times, {name: tol_value}, [check],
-                   richardson=richardson)
+    def sweep(harmonics):
+        """|R0 + Re(e R1) + Re(e^2 R2)| at each phase factor e = e^{i phi}."""
+        r0, r1, r2 = harmonics
+        return [mag(r0 + (e * r1).real + (e * e * r2).real) for e in phases]
+
+    full, half = (_harmonics(sol, pts, s) for s in (1.0, 0.5))
+    reports = []
+    for name, tol_value, (residual, image), (residual_half, _) in zip(
+            names, tols, full, half):
+        normalizer = max(float(np.max(a)) for a in sweep(image))
+        check, richardson = _residual_check(
+            M, tol_value, name, np.concatenate(sweep(residual)), normalizer,
+            np.concatenate(sweep(residual_half)))
+        reports.append(_report(sol, grid, times, {name: tol_value}, [check],
+                               richardson=richardson))
+    return tuple(reports)
 
 
 def euler_residual(sol: ExactSolution, grid=None, times=None,
                    tol=None) -> ResidualReport:
     """Vorticity-form residual  d_t(lap psi) + {psi, lap psi}  on surfaces,
     curl-form residual  d_t(curl U) + [U, curl U]  in three dimensions."""
-    return _residual(sol, grid, times, tol, "euler-residual")
+    return _residuals(sol, grid, times, tol)[0]
 
 
 def linearized_residual(sol: ExactSolution, grid=None, times=None,
                         tol=None) -> ResidualReport:
     """Residual of the Euler equations linearized along the solution,
     evaluated on the phase-shifted wave V = rho sin(.) v + rho cos(.) w."""
-    return _residual(sol, grid, times, tol, "linearized-residual",
-                     linearized=True)
+    return _residuals(sol, grid, times, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -633,17 +705,24 @@ def _stationarity_probe(sol: ExactSolution,
     return observed, {"static-change": s_static, "carried-change": s_frame}
 
 
+def _expected_class(sol: ExactSolution) -> str:
+    """The classification the probe must observe: the spectral one from
+    (lam, zeta), except that with no wave (rho = 0) the flow is the steady
+    base flow u0."""
+    return "stationary" if sol.rho == 0.0 else sol.spectral.classification
+
+
 def stationarity_classifier(sol: ExactSolution,
                             seed: int = DEFAULT_SEED) -> str:
-    """Classification from (lam, zeta), cross-checked against the sampled
-    time dependence of the velocity field."""
-    declared = sol.spectral.classification
+    """Classification from (lam, zeta) and the amplitude, cross-checked
+    against the sampled time dependence of the velocity field."""
+    expected = _expected_class(sol)
     observed, diag = _stationarity_probe(sol, seed=seed)
-    if observed != declared:
+    if observed != expected:
         raise RuntimeError(
-            f"spectral classification {declared!r} contradicts the sampled "
+            f"classification {expected!r} contradicts the sampled "
             f"field behaviour {observed!r} ({diag})")
-    return declared
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +751,7 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eigen = check_eigen_relations(sol, grid=grid, tol=tolerances,
                                       seed=seed)
-        euler = euler_residual(sol, grid=grid, times=times, tol=tolerances)
-        linear = linearized_residual(sol, grid=grid, times=times,
-                                     tol=tolerances)
+        euler, linear = _residuals(sol, grid, times, tolerances)
         energy = conservation_check(sol, grid=grid, tol=tolerances)
         constraint = constraint_check(sol, grid=grid, tol=tolerances,
                                       times=times)
@@ -686,9 +763,9 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
     for rep in (eigen, euler, linear, energy, constraint):
         tols.update(rep.tolerances)
 
-    declared = sol.spectral.classification
     tols["stationarity"] = _resolve_tol(tolerances, "stationarity", M.dim)
-    checks.append(_check("stationarity", float(observed != declared), 1.0,
+    checks.append(_check("stationarity",
+                         float(observed != _expected_class(sol)), 1.0,
                          tols["stationarity"]))
 
     if M.name == "flat-torus":
@@ -705,7 +782,7 @@ def run_verification(sol: ExactSolution, grid=None, times=None,
         "lambda-exact": _jsonable(sp.lam_exact),
         "omega": sp.omega,
         "omega-exact": _jsonable(sp.omega_exact),
-        "classification": declared,
+        "classification": sp.classification,
         "classification-observed": observed,
         "static-change": stat_diag["static-change"],
         "carried-change": stat_diag["carried-change"],

@@ -58,7 +58,10 @@ def test_torus_time_derivative_is_consistent():
     pts = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(20, 2))
     t, dt = 0.8, 1e-6
     fd = (sol.velocity(t + dt, pts) - sol.velocity(t - dt, pts)) / (2 * dt)
-    assert np.max(np.abs(fd - sol._rotate(sol.wave, t, pts, dt=True))) < 1e-8
+    # d/dt Re(rho e^{i phase} z) = Re(i omega rho e^{i phase} z)
+    exact = (1j * sol.omega * sol.rho * np.exp(1j * sol.phase(t))
+             * sol.wave(t, pts)).real
+    assert np.max(np.abs(fd - exact)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +472,10 @@ def test_classification_table():
 
 def test_evaluators_match_written_out_phase_rotation():
     # U = u0 + rho cos(ph) v - rho sin(ph) w, V = rho sin(ph) v + rho cos(ph) w
-    # and their time derivatives, spelled out from the derived parts
-    # (v, w) = (Re z, Im z) of the one stored complex eigenfield; likewise
-    # for the streams.
+    # spelled out from the derived parts (v, w) = (Re z, Im z) of the one
+    # stored complex eigenfield; likewise for the streams.  Their time
+    # derivatives Re(i omega rho e^{i ph} z) and Re(omega rho e^{i ph} z),
+    # the closed forms the harmonic residuals use, are spelled out too.
     def close(got, want):
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -486,16 +490,20 @@ def test_evaluators_match_written_out_phase_rotation():
         c = sol.rho * sol.omega
         for t in (0.0, 0.7, 1.9):
             cs, sn = np.cos(sol.phase(t)), np.sin(sol.phase(t))
+            e = sol.rho * np.exp(1j * sol.phase(t))
+
+            def dt(zv, linearized=False):
+                k = sol.omega if linearized else 1j * sol.omega
+                return (k * e * zv).real
+
             z = sol.wave(t, pts)
             fv, fw = z.real, z.imag
             close(sol.velocity(t, pts),
                   u0(t, pts) + sol.rho * cs * fv - sol.rho * sn * fw)
-            close(sol._rotate(sol.wave, t, pts, dt=True),
-                  -c * sn * fv - c * cs * fw)
+            close(dt(z), -c * sn * fv - c * cs * fw)
             close(sol.linearized(t, pts),
                   sol.rho * sn * fv + sol.rho * cs * fw)
-            close(sol._rotate(sol.wave, t, pts, linearized=True, dt=True),
-                  c * cs * fv - c * sn * fw)
+            close(dt(z, linearized=True), c * cs * fv - c * sn * fw)
             if sol.psi_wave is None:
                 assert sol.psi_base is None
                 continue
@@ -504,11 +512,10 @@ def test_evaluators_match_written_out_phase_rotation():
             stream = functools.partial(sol._rotate, sol.psi_wave, t, pts)
             close(stream(base=sol.psi_base), sol.psi_base(t, pts)
                   + sol.rho * cs * pv - sol.rho * sn * pw)
-            close(stream(dt=True), -c * sn * pv - c * cs * pw)
+            close(dt(zpsi), -c * sn * pv - c * cs * pw)
             close(stream(linearized=True),
                   sol.rho * sn * pv + sol.rho * cs * pw)
-            close(stream(linearized=True, dt=True),
-                  c * cs * pv - c * sn * pw)
+            close(dt(zpsi, linearized=True), c * cs * pv - c * sn * pw)
 
         calls = []
 

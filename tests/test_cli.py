@@ -185,14 +185,24 @@ def test_verify_degenerate_construction_exits_2(capsys):
 def test_verify_overflow_exits_2_without_warnings(capsys):
     # an overflowing amplitude is reported once, as non-finite rows, and
     # not as numpy warnings on the way there
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = run_cli("verify", "kelvin-disk", "--rho", "1e308",
-                       "--grid", "6,6", "--times", "0.7")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("construction failed: ") and "non-finite" in err
-    assert "RuntimeWarning" not in err
+    for rho in ("1e308", "1e200"):  # 1e200 overflows only in rho * rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("verify", "kelvin-disk", "--rho", rho,
+                           "--grid", "6,6", "--times", "0.7")
+        assert code == 2, rho
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: ") and "non-finite" in err
+        assert "RuntimeWarning" not in err
+
+
+def test_verify_without_a_wave_exits_0(capsys):
+    # rho = 0 is the steady base flow: every row, stationarity included,
+    # must pass
+    for key, grid in (("kelvin-disk", "6,6"), ("rossby-s3", "4,4,4")):
+        code = run_cli("verify", key, "--rho", "0", "--grid", grid,
+                       "--times", "0.7")
+        assert code == 0, (key, capsys.readouterr().out)
 
 
 def test_verify_missing_radial_mode_exits_2(capsys):
