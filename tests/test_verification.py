@@ -295,6 +295,24 @@ def test_eigen_rows_match_written_out_pair(key):
         assert c.passed == ref.passed, name
 
 
+@pytest.mark.parametrize("key", ["kelvin-disk", "ck-cylinder"])
+def test_eigen_relations_take_one_jet_per_field(key):
+    # z's value and FD Jacobian are taken once, shared by both brackets:
+    # 1 + dim calls of the wave, plus the dim stencils of the curl A z in 3D
+    sol = cat.build(key)
+    calls = []
+
+    def counting(t, p, wave=sol.wave):
+        calls.append(len(p))
+        return wave(t, p)
+
+    grid = _SMALL_GRIDS[sol.dim]
+    rep = ver.check_eigen_relations(replace(sol, wave=counting), grid=grid)
+    assert len(calls) == 1 + sol.dim + (sol.dim if sol.dim == 3 else 0)
+    assert rep.to_json_bytes() == \
+        ver.check_eigen_relations(sol, grid=grid).to_json_bytes()
+
+
 _CARRIERS = {"alpha": ("eigen-inertia", "eigen-coadjoint"),
              "zeta": ("eigen-advection",),
              "lam": ("eigen-coadjoint",)}
@@ -348,6 +366,22 @@ def test_linearized_residual_perturbed_fails():
     assert not check.passed
 
 
+@pytest.mark.parametrize("key", ["kelvin-disk", "rossby-sphere",
+                                 "ck-cylinder"])
+def test_linearized_residual_tests_the_wave_without_amplitude(key):
+    # At rho = 0 the flow is the steady base, but the linearization along it
+    # still acts on the unit companion wave: the row is not 0 against the
+    # floor normalizer, it passes on the exact wave and fails on a wrong
+    # frequency.
+    sol = cat.build(key, rho=0.0)
+    grid = _SMALL_GRIDS[sol.dim]
+    (exact,) = ver.linearized_residual(sol, grid=grid, times=[0.7]).checks
+    (wrong,) = ver.linearized_residual(sol.perturbed(1.1), grid=grid,
+                                       times=[0.7]).checks
+    assert exact.normalizer > 1.0 and exact.sup > 0.0 and exact.passed
+    assert wrong.sup / wrong.normalizer > 100 * wrong.tol, key
+
+
 @pytest.mark.parametrize("key", cat.catalogue_keys())
 def test_linearized_residual_rejects_a_wrong_frequency_loudly(key):
     rep = ver.linearized_residual(cat.build(key).perturbed(1.1))
@@ -396,19 +430,44 @@ def test_constraints_boundaryless_manifold():
 # ---------------------------------------------------------------------------
 
 
+_TORUS_RULE = geo._quadrature_rule(geo.flat_torus())
+
+
 def test_skew_adjoint_explicit_pair():
     u = ver.FourierStream.from_modes([(1, 0, 1.0)])   # sin/cos x wave
     v = ver.FourierStream.from_modes([(0, 1, 1.0)])
-    rep = ver.skew_adjoint_quadrature(u, v)
-    (check,) = rep.checks
-    assert check.passed and check.sup <= 1e-10
+    pair, _ = ver._skew_identity(u, v, u, _TORUS_RULE)
+    assert pair <= 1e-10
 
 
 def test_skew_adjoint_self_pair_exact():
     u = ver.FourierStream.from_modes([(2, 1, 0.7 + 0.3j)])
-    rep = ver.skew_adjoint_quadrature(u, u)
-    (check,) = rep.checks
-    assert check.sup <= 1e-14  # [u, u] = 0 identically
+    pair, _ = ver._skew_identity(u, u, u, _TORUS_RULE)
+    assert pair <= 1e-14  # [u, u] = 0 identically
+
+
+def test_skew_adjoint_pair_is_the_polarized_form_at_w_equal_u():
+    # The pair value is the polarized form at w = u, bit for bit, and equals
+    # the written-out |<A^-1 u, [v, u]>| / (|A^-1 u| |[v, u]|) with the
+    # midpoint rule as (2 pi)^2 times the mean over the 64 x 64 nodes.
+    def inner(a, b):
+        return float(np.mean(np.einsum("ni,ni->n", a, b)) * (2 * math.pi) ** 2)
+
+    nodes, weights = _TORUS_RULE
+    x = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+    assert np.array_equal(nodes, geo._tensor_grid([x, x]))
+    assert np.all(weights == (2 * math.pi) ** 2 / 4096)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        u, v, w = (ver.FourierStream.random(rng) for _ in range(3))
+        pair, _ = ver._skew_identity(u, v, w, _TORUS_RULE)
+        at_u = ver._skew_identity(u, v, u, _TORUS_RULE)
+        ainv = u.inverse_laplace().field_values(nodes)
+        br = ver._bracket_form(*(s.sums(nodes, ver._BRACKET_ORDERS)
+                                 for s in (v, u)))
+        written = abs(inner(ainv, br)) / (math.sqrt(inner(ainv, ainv))
+                                          * math.sqrt(inner(br, br)))
+        assert pair == at_u[0] == at_u[1] == written
 
 
 def test_skew_adjoint_battery():
@@ -422,14 +481,9 @@ def test_skew_adjoint_battery():
 
 def test_skew_adjoint_checks_reject_empty_batteries_and_grids():
     # pairs = 0 or a negative count used to pass with nothing checked
-    u = ver.FourierStream.from_modes([(1, 0, 1.0)])
     for bad in (0, -3, 2.0, True):
         with pytest.raises(ValueError, match="pairs"):
             ver.skew_adjoint_battery(pairs=bad)
-        with pytest.raises(ValueError, match="n must"):
-            ver.skew_adjoint_battery(pairs=1, n=bad)
-        with pytest.raises(ValueError, match="n must"):
-            ver.skew_adjoint_quadrature(u, u, n=bad)
 
 
 def test_fourier_stream_sums_equal_per_order_formula_bit_for_bit():
@@ -450,7 +504,8 @@ def test_fourier_stream_sums_equal_per_order_formula_bit_for_bit():
         stream = ver.FourierStream.random(rng)
         for (dx, dy), got in zip(orders, stream.sums(pts, orders)):
             assert np.array_equal(got, per_order(stream, pts, dx, dy))
-        assert np.array_equal(stream.value(pts), per_order(stream, pts, 0, 0))
+        assert np.array_equal(stream.sums(pts, [(0, 0)])[0],
+                              per_order(stream, pts, 0, 0))
         assert np.array_equal(
             stream.field_values(pts),
             np.stack([per_order(stream, pts, 0, 1),
@@ -465,8 +520,10 @@ def test_fourier_stream_bracket_matches_fd():
     b = ver.FourierStream.random(rng)
     M = geo.flat_torus()
     pts = rng.uniform(0, 2 * np.pi, size=(50, 2))
-    analytic = ver._bracket_values(a, b, pts)
-    fd = geo.lie_bracket(M, a.field_evaluator(), b.field_evaluator(), 0.0, pts)
+    analytic = ver._bracket_form(*(s.sums(pts, ver._BRACKET_ORDERS)
+                                   for s in (a, b)))
+    fd = geo.lie_bracket(M, lambda t, q: a.field_values(q),
+                         lambda t, q: b.field_values(q), 0.0, pts)
     scale = np.max(np.abs(analytic))
     assert np.max(np.abs(analytic - fd)) < 1e-7 * scale
 
@@ -666,9 +723,6 @@ _SEEDED_CHECKS = [
     lambda sol, seed: ver.check_eigen_relations(sol, grid=(4, 4), seed=seed),
     lambda sol, seed: ver.stationarity_classifier(sol, seed=seed),
     lambda sol, seed: ver.skew_adjoint_battery(pairs=1, seed=seed),
-    lambda sol, seed: ver.skew_adjoint_quadrature(
-        ver.FourierStream.from_modes([(1, 0, 1.0)]),
-        ver.FourierStream.from_modes([(0, 1, 1.0)]), seed=seed),
 ]
 
 
