@@ -16,9 +16,31 @@ import pytest
 from scipy.special import jv, jvp
 
 from eulerwaves import catalogue as cat
+from eulerwaves import fields
 from eulerwaves import geometry as geo
 from eulerwaves import solvers
 from eulerwaves import specfun as sf
+
+
+# ---------------------------------------------------------------------------
+# constant fields (every base flow)
+# ---------------------------------------------------------------------------
+
+
+def test_constant_field_returns_a_fresh_array_per_call():
+    u = fields.constant_field((1.0, -2.0, 0.5))
+    pts = np.zeros((4, 3))
+    first = u(0.0, pts)
+    for got in (first, u(0.0, pts)):
+        assert got.shape == (4, 3) and got.dtype == np.float64
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert np.array_equal(got, np.tile([1.0, -2.0, 0.5], (4, 1)))
+    first[:] = 9.0
+    assert np.array_equal(u(0.0, pts), np.tile([1.0, -2.0, 0.5], (4, 1)))
+    assert u(0.0, np.zeros(3)).shape == (1, 3)
+    assert u(0.0, np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(ValueError, match="shape"):
+        u(0.0, np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Particle-trajectory integration: closure oracles, convergence, export."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy
 
 from eulerwaves import catalogue as cat
 from eulerwaves import fields
@@ -108,6 +110,71 @@ def test_torus_trajectory_completes_and_converges():
     half = tr.integrate_trajectory(sol, start, 0.0, 10.0, dt=traj.dt / 2)
     gap = tr.chart_gap(sol.manifold, traj.points[-1], half.points[-1])
     assert gap < 1e-8
+
+
+@pytest.mark.parametrize("n, m, rho, sigma", [
+    (1, 2, 1.0, 0.0), (3, -2, 0.7, 1.3), (0, 1, 2.0, 0.4)])
+def test_torus_paths_match_the_closed_form(n, m, rho, sigma):
+    # On kelvin-torus psi = n x + m y - n t + sigma is constant along every
+    # path, so each path is a straight line at constant velocity and RK4 is
+    # exact on it up to rounding: an oracle for the wrap and the time grid.
+    # (0, 1) has omega = 0 and runs 20 x 2 pi.
+    sol = cat.kelvin_torus(n=n, m=m, rho=rho, sigma=sigma)
+    traj = tr.integrate_trajectory(sol, (0.4, 1.7),
+                                   t1=20 * (sol.period or TWO_PI))
+    assert traj.status == "completed"
+    assert len(traj.times) == 20001
+    (x0, y0), t = traj.points[0], traj.times
+    s = math.sin(n * x0 + m * y0 + sigma)
+    exact = np.stack([x0 + (1.0 - rho * m * s) * t, y0 + rho * n * s * t],
+                     axis=-1)
+    gap = np.abs(sol.manifold.shortest_delta(traj.points, exact))
+    assert np.max(gap) <= 1e-10
+
+
+# Status and point bytes of three fixed runs, the benchmark's trajectory
+# fingerprint, pinned the way the report bytes are: a change to the tracer
+# or to the fields it calls that moves a bit has to say so.  The low bits
+# follow numpy and scipy, so the pins hold for the versions they were
+# taken with only.
+_TRAJECTORY_PIN_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
+_TRAJECTORY_PINS = {
+    "kelvin-torus": "7a1ec422aa7cfb52",
+    "kelvin-disk": "f00ab3e58e62803b",
+    "rossby-s3": "bcc21e195a5b42b3",
+}
+
+
+def _fingerprint(trajs) -> str:
+    h = hashlib.sha256()
+    for traj in trajs:
+        h.update(traj.status.encode())
+        h.update(np.ascontiguousarray(traj.points).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _lattice_starts(M) -> np.ndarray:
+    """Eight starts on a rank-1 lattice over the usable chart box."""
+    box = np.array([M.axis_interval(axis) for axis in range(M.dim)])
+    u = ((np.outer(np.arange(8), (1, 3, 5)[:M.dim]) + 0.5) / 8) % 1.0
+    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+
+
+def test_trajectory_bytes_are_pinned():
+    versions = (np.__version__, scipy.__version__)
+    if versions != _TRAJECTORY_PIN_VERSIONS:
+        pytest.skip(f"trajectory pins were taken with numpy "
+                    f"{_TRAJECTORY_PIN_VERSIONS[0]} and scipy "
+                    f"{_TRAJECTORY_PIN_VERSIONS[1]}, this is numpy "
+                    f"{versions[0]} and scipy {versions[1]}")
+    torus = cat.build("kelvin-torus")
+    prints = {"kelvin-torus": _fingerprint([tr.integrate_trajectory(
+        torus, (0.4, 1.7), t1=torus.period)])}
+    for key in ("kelvin-disk", "rossby-s3"):
+        sol = cat.build(key)
+        prints[key] = _fingerprint(tr.integrate_many(
+            sol, _lattice_starts(sol.manifold), t1=math.pi / 2))
+    assert prints == _TRAJECTORY_PINS
 
 
 def test_rk4_endpoint_ratio():
