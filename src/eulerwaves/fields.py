@@ -29,7 +29,8 @@ def constant_field(components):
     dim = comp.size
 
     def func(t, pts):
-        n = _as_points(pts, dim).shape[0]
-        return np.broadcast_to(comp, (n, dim)).copy()
+        out = np.empty((_as_points(pts, dim).shape[0], dim))
+        out[:] = comp
+        return out
 
     return func

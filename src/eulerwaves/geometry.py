@@ -207,15 +207,27 @@ class ChartedManifold:
         object.__setattr__(self, "_quad_cache", {})
         # Usable closed box on the bounded (non-periodic) axes: the chart
         # ranges less the singular margins, as (axes, lower, upper ends).
+        # The periodic axes with their lower ends and spans, for _fold; a
+        # run of consecutive axes is a slice, whose view spares _fold the
+        # fancy-index copies.
         axes, lo_ok, hi_ok = [], [], []
+        wrap_axes, wrap_lo, wrap_span = [], [], []
         for axis, (lo, hi) in enumerate(self.ranges):
-            if not self.periodic[axis]:
+            if self.periodic[axis]:
+                wrap_axes.append(axis)
+                wrap_lo.append(lo)
+                wrap_span.append(hi - lo)
+            else:
                 m = _SINGULAR_MARGIN * (hi - lo)
                 axes.append(axis)
                 lo_ok.append(lo + m if self.singular_lower[axis] else lo)
                 hi_ok.append(hi - m if self.singular_upper[axis] else hi)
         object.__setattr__(self, "_usable_box",
                            (axes, np.array(lo_ok), np.array(hi_ok)))
+        if wrap_axes and wrap_axes[-1] - wrap_axes[0] == len(wrap_axes) - 1:
+            wrap_axes = slice(wrap_axes[0], wrap_axes[-1] + 1)
+        object.__setattr__(self, "_periodic_box",
+                           (wrap_axes, np.array(wrap_lo), np.array(wrap_span)))
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -260,12 +272,10 @@ class ChartedManifold:
         """A copy of the coordinates x (..., dim), each periodic axis taken
         modulo its span into [lo, hi), or into [-span/2, span/2) if centred."""
         out = np.array(x, dtype=float, copy=True)
-        for axis in range(self.dim):
-            if self.periodic[axis]:
-                lo, hi = self.ranges[axis]
-                span = hi - lo
-                start = -span / 2.0 if centred else lo
-                out[..., axis] = start + np.mod(out[..., axis] - start, span)
+        axes, lo, span = self._periodic_box
+        if span.size:
+            start = -span / 2.0 if centred else lo
+            out[..., axes] = start + np.mod(out[..., axes] - start, span)
         return out
 
     def wrap(self, pts: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.special import jv, jvp, yv, yvp
+from scipy.special import jv, yv
 
 from .rootfind import SolverError, _as_int, bisect_root, cheb, collocate, \
     newton_polish, scan_brackets
@@ -45,8 +45,9 @@ def bessel_j(nu, x):
 
 
 def bessel_j_prime(nu, x):
-    """d/dx J_nu(x)."""
-    return jvp(nu, x)
+    """d/dx J_nu(x) = (J_{nu-1}(x) - J_{nu+1}(x)) / 2, the formula (and the
+    bits) of scipy's jvp at first order, without its argument checks."""
+    return (jv(nu - 1, x) - jv(nu + 1, x)) / 2.0
 
 
 def bessel_y(nu, x):
@@ -55,8 +56,8 @@ def bessel_y(nu, x):
 
 
 def bessel_y_prime(nu, x):
-    """d/dx Y_nu(x)."""
-    return yvp(nu, x)
+    """d/dx Y_nu(x) = (Y_{nu-1}(x) - Y_{nu+1}(x)) / 2, as bessel_j_prime."""
+    return (yv(nu - 1, x) - yv(nu + 1, x)) / 2.0
 
 
 def _mcmahon_zero(nu: float, k: int) -> float:
@@ -85,7 +86,7 @@ def bessel_j_zero(nu: float, k: int) -> float:
     x0 = max(nu, 0.25)
     steps = math.ceil((hi_guess + 50.0 - x0) / 0.5)
     root = bisect_root(f, *scan_brackets(f, x0, x0 + 0.5 * steps, steps + 1, k))
-    return newton_polish(f, lambda t: jvp(nu, t), root)
+    return newton_polish(f, lambda t: bessel_j_prime(nu, t), root)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,16 @@ def _integrate(sol: ExactSolution, starts: np.ndarray, t0, t1, dt) -> list:
     status = [STATUS_COMPLETED] * n
     rows = np.arange(n)                 # particle of each active batch row
     p = x
+    velocity = sol.velocity
+    half, sixth = step / 2.0, step / 6.0
     for k in range(n_steps):
         t = t0 + k * step
-        k1 = sol.velocity(t, p)
-        k2 = sol.velocity(t + step / 2.0, p + (step / 2.0) * k1)
-        k3 = sol.velocity(t + step / 2.0, p + (step / 2.0) * k2)
-        k4 = sol.velocity(t + step, p + step * k3)
-        p = M.wrap(p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        t_mid = t + half
+        k1 = velocity(t, p)
+        k2 = velocity(t_mid, p + half * k1)
+        k3 = velocity(t_mid, p + half * k2)
+        k4 = velocity(t + step, p + step * k3)
+        p = M.wrap(p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         halts = M.halt_verdicts(p)
         if halts:
             for row, verdict in halts.items():

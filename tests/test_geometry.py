@@ -503,6 +503,43 @@ def test_interior_grid_respects_margins():
     assert sp[:, 1].max() <= np.pi * 0.95 + 1e-12
 
 
+def _fold_per_axis(M, x, centred):
+    """Reference fold: one periodic axis at a time."""
+    out = np.array(x, dtype=float, copy=True)
+    for axis in range(M.dim):
+        if M.periodic[axis]:
+            lo, hi = M.ranges[axis]
+            start = -(hi - lo) / 2.0 if centred else lo
+            out[..., axis] = start + np.mod(out[..., axis] - start, hi - lo)
+    return out
+
+
+def test_wrap_and_shortest_delta_equal_the_per_axis_fold():
+    # every chart's run of periodic axes, one chart with none, and one whose
+    # periodic axes are not consecutive
+    split = geo.ChartedManifold(
+        name="split", dim=3, coords=("x", "r", "z"),
+        ranges=((0.0, 2.0), (0.0, 1.0), (-1.0, 3.0)),
+        periodic=(True, False, True), metric=geo.flat_torus3().metric)
+    square = geo.ChartedManifold(
+        name="square", dim=2, coords=("x", "y"),
+        ranges=((0.0, 1.0), (0.0, 1.0)), periodic=(False, False),
+        metric=geo.flat_torus().metric)
+    charts = [geo.flat_torus(), geo.flat_torus3(), geo.flat_disk(),
+              geo.round_sphere(), geo.hyperbolic_disk(), geo.three_sphere(),
+              geo.solid_cylinder(), geo.cmetric_chart(0.5, 1.0, 2.0), split,
+              square]
+    rng = np.random.default_rng(RNG_SEED)
+    for M in charts:
+        a, b = rng.uniform(-20.0, 20.0, size=(2, 50, M.dim))
+        before = a.copy()
+        assert np.array_equal(M.wrap(a), _fold_per_axis(M, a, False))
+        assert np.array_equal(a, before)  # a fold copies
+        assert np.array_equal(M.wrap(a[0]), _fold_per_axis(M, a[0], False))
+        assert np.array_equal(M.shortest_delta(a, b),
+                              _fold_per_axis(M, a - b, True))
+
+
 def test_wrap_and_in_domain():
     M = geo.flat_disk()
     p = M.wrap(np.array([0.5, 2 * np.pi + 0.25]))

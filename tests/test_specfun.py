@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import Legendre
-from scipy.special import lpmv
+from scipy.special import jvp, lpmv, yvp
 
 from eulerwaves import specfun as sf
 
@@ -66,6 +66,16 @@ def test_bessel_derivatives_match_mpmath():
         dy = float(mp.diff(lambda t: mp.bessely(nu, t), x))
         assert abs(sf.bessel_j_prime(nu, x) - dj) < 1e-11
         assert abs(sf.bessel_y_prime(nu, x) - dy) < 1e-10 * max(1.0, abs(dy))
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 5, 2.5])
+def test_bessel_derivatives_equal_scipy_bit_for_bit(nu):
+    # the half-difference of neighbouring orders is scipy's own first-order
+    # formula, so the values (and every field built on them) keep their bits
+    x = np.random.default_rng(3).uniform(1e-3, 60.0, size=10_000)
+    assert np.array_equal(sf.bessel_j_prime(nu, x), jvp(nu, x))
+    assert np.array_equal(sf.bessel_y_prime(nu, x), yvp(nu, x))
+    assert sf.bessel_j_prime(nu, 1.3) == jvp(nu, 1.3)
 
 
 def test_bessel_recurrence_and_wronskian_identities():
