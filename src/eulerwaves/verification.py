@@ -558,13 +558,25 @@ class FourierStream:
             modes.append((kx, ky, amp))
         return cls(modes=tuple(modes))
 
-    def sums(self, pts: np.ndarray, orders) -> list:
-        """The derivatives d_x^dx d_y^dy psi at ``pts``, one array per
-        ``(dx, dy)`` in ``orders``, from one phase e^{i k.x} per mode."""
+    @staticmethod
+    def phase_table(pts: np.ndarray, streams) -> dict:
+        """The phase e^{i(kx x + ky y)} at ``pts`` (N, 2) of every
+        wavevector (kx, ky) of the ``streams``, keyed by (kx, ky): one
+        exponential per distinct wavevector, however many streams share
+        it."""
         x, y = pts[:, 0], pts[:, 1]
-        outs = [np.zeros(pts.shape[0], dtype=complex) for _ in orders]
+        keys = dict.fromkeys((kx, ky) for s in streams
+                             for kx, ky, _ in s.modes)
+        return {(kx, ky): np.exp(1j * (kx * x + ky * y)) for kx, ky in keys}
+
+    def sums(self, phases: dict, orders) -> list:
+        """The derivatives d_x^dx d_y^dy psi, one array per ``(dx, dy)`` in
+        ``orders``, at the points of ``phases``, a ``phase_table`` that
+        holds every wavevector of the stream."""
+        n = len(next(iter(phases.values())))
+        outs = [np.zeros(n, dtype=complex) for _ in orders]
         for kx, ky, amp in self.modes:
-            e = np.exp(1j * (kx * x + ky * y))
+            e = phases[kx, ky]
             for out, (dx, dy) in zip(outs, orders):
                 out += amp * (1j * kx) ** dx * (1j * ky) ** dy * e
         return [out.real for out in outs]
@@ -573,9 +585,10 @@ class FourierStream:
         return FourierStream(modes=tuple(
             (kx, ky, amp / (kx * kx + ky * ky)) for kx, ky, amp in self.modes))
 
-    def field_values(self, pts: np.ndarray) -> np.ndarray:
-        """Skew gradient (psi_y, -psi_x): the divergence-free field of psi."""
-        psi_y, psi_x = self.sums(pts, [(0, 1), (1, 0)])
+    def field_values(self, phases: dict) -> np.ndarray:
+        """Skew gradient (psi_y, -psi_x): the divergence-free field of psi,
+        at the points of ``phases`` (as in ``sums``)."""
+        psi_y, psi_x = self.sums(phases, [(0, 1), (1, 0)])
         return np.stack([psi_y, -psi_x], axis=-1)
 
 
@@ -594,15 +607,14 @@ def _bracket_form(da, db) -> np.ndarray:
 
 
 def _skew_identity(u: FourierStream, v: FourierStream, w: FourierStream,
-                   rule) -> tuple:
+                   phases: dict, weight: float) -> tuple:
     """The normalized pair value |<A^-1 u, [v, u]>| and polarized value
-    |<A^-1 u, [v, w]> + <A^-1 w, [v, u]>| by the flat-torus ``rule`` (nodes,
-    equal weights).  The pair value is the polarized form at w = u, which
-    doubles value and norm exactly."""
-    nodes, weights = rule
-
+    |<A^-1 u, [v, w]> + <A^-1 w, [v, u]>| by the flat-torus quadrature rule
+    with equal weights ``weight``, whose nodes ``phases`` tabulates.  The
+    pair value is the polarized form at w = u, which doubles value and norm
+    exactly."""
     def inner(a, b):
-        return float(np.sum(np.einsum("ni,ni->n", a, b)) * weights[0])
+        return float(np.sum(np.einsum("ni,ni->n", a, b)) * weight)
 
     def polarized(a1, b1, a2, b2):
         """|<a1, b1> + <a2, b2>| / (|a1| |b1| + |a2| |b2|)"""
@@ -611,8 +623,9 @@ def _skew_identity(u: FourierStream, v: FourierStream, w: FourierStream,
                 + math.sqrt(inner(a2, a2)) * math.sqrt(inner(b2, b2)))
         return value / (norm if norm > _FLOOR else 1.0)
 
-    du, dv, dw = (s.sums(nodes, _BRACKET_ORDERS) for s in (u, v, w))
-    ainv_u, ainv_w = (s.inverse_laplace().field_values(nodes) for s in (u, w))
+    du, dv, dw = (s.sums(phases, _BRACKET_ORDERS) for s in (u, v, w))
+    ainv_u, ainv_w = (s.inverse_laplace().field_values(phases)
+                      for s in (u, w))
     br_vu, br_vw = _bracket_form(dv, du), _bracket_form(dv, dw)
     return (polarized(ainv_u, br_vu, ainv_u, br_vu),
             polarized(ainv_u, br_vw, ainv_w, br_vu))
@@ -626,10 +639,12 @@ def skew_adjoint_battery(pairs: int = 20, tol: float = 1e-8,
     pairs = _resolve_int("pairs", pairs, 1)
     seed = _resolve_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    rule = geo._quadrature_rule(geo.flat_torus())
+    nodes, weights = geo._quadrature_rule(geo.flat_torus())
+    streams = [FourierStream.random(rng) for _ in range(3 * pairs)]
+    phases = FourierStream.phase_table(nodes, streams)
     pair_vals, polar_vals = zip(*(
-        _skew_identity(*(FourierStream.random(rng) for _ in range(3)), rule)
-        for _ in range(pairs)))
+        _skew_identity(*streams[i:i + 3], phases, weights[0])
+        for i in range(0, 3 * pairs, 3)))
     checks = [_check("skew-adjoint-pair", pair_vals, 1.0, tol),
               _check("skew-adjoint-polarized", polar_vals, 1.0, tol)]
     return ResidualReport(

@@ -433,16 +433,23 @@ def test_constraints_boundaryless_manifold():
 _TORUS_RULE = geo._quadrature_rule(geo.flat_torus())
 
 
+def _skew_identity(u, v, w):
+    """The battery's identity for one triple, by the flat-torus rule."""
+    nodes, weights = _TORUS_RULE
+    phases = ver.FourierStream.phase_table(nodes, [u, v, w])
+    return ver._skew_identity(u, v, w, phases, weights[0])
+
+
 def test_skew_adjoint_explicit_pair():
     u = ver.FourierStream.from_modes([(1, 0, 1.0)])   # sin/cos x wave
     v = ver.FourierStream.from_modes([(0, 1, 1.0)])
-    pair, _ = ver._skew_identity(u, v, u, _TORUS_RULE)
+    pair, _ = _skew_identity(u, v, u)
     assert pair <= 1e-10
 
 
 def test_skew_adjoint_self_pair_exact():
     u = ver.FourierStream.from_modes([(2, 1, 0.7 + 0.3j)])
-    pair, _ = ver._skew_identity(u, u, u, _TORUS_RULE)
+    pair, _ = _skew_identity(u, u, u)
     assert pair <= 1e-14  # [u, u] = 0 identically
 
 
@@ -460,10 +467,11 @@ def test_skew_adjoint_pair_is_the_polarized_form_at_w_equal_u():
     rng = np.random.default_rng(11)
     for _ in range(6):
         u, v, w = (ver.FourierStream.random(rng) for _ in range(3))
-        pair, _ = ver._skew_identity(u, v, w, _TORUS_RULE)
-        at_u = ver._skew_identity(u, v, u, _TORUS_RULE)
-        ainv = u.inverse_laplace().field_values(nodes)
-        br = ver._bracket_form(*(s.sums(nodes, ver._BRACKET_ORDERS)
+        pair, _ = _skew_identity(u, v, w)
+        at_u = _skew_identity(u, v, u)
+        phases = ver.FourierStream.phase_table(nodes, [u, v])
+        ainv = u.inverse_laplace().field_values(phases)
+        br = ver._bracket_form(*(s.sums(phases, ver._BRACKET_ORDERS)
                                  for s in (v, u)))
         written = abs(inner(ainv, br)) / (math.sqrt(inner(ainv, ainv))
                                           * math.sqrt(inner(br, br)))
@@ -500,14 +508,16 @@ def test_fourier_stream_sums_equal_per_order_formula_bit_for_bit():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
     orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    for _ in range(5):
-        stream = ver.FourierStream.random(rng)
-        for (dx, dy), got in zip(orders, stream.sums(pts, orders)):
+    streams = [ver.FourierStream.random(rng) for _ in range(5)]
+    phases = ver.FourierStream.phase_table(pts, streams)
+    assert set(phases) == {(kx, ky) for s in streams for kx, ky, _ in s.modes}
+    for stream in streams:
+        for (dx, dy), got in zip(orders, stream.sums(phases, orders)):
             assert np.array_equal(got, per_order(stream, pts, dx, dy))
-        assert np.array_equal(stream.sums(pts, [(0, 0)])[0],
+        assert np.array_equal(stream.sums(phases, [(0, 0)])[0],
                               per_order(stream, pts, 0, 0))
         assert np.array_equal(
-            stream.field_values(pts),
+            stream.field_values(phases),
             np.stack([per_order(stream, pts, 0, 1),
                       -per_order(stream, pts, 1, 0)], axis=-1))
 
@@ -520,10 +530,16 @@ def test_fourier_stream_bracket_matches_fd():
     b = ver.FourierStream.random(rng)
     M = geo.flat_torus()
     pts = rng.uniform(0, 2 * np.pi, size=(50, 2))
-    analytic = ver._bracket_form(*(s.sums(pts, ver._BRACKET_ORDERS)
+    phases = ver.FourierStream.phase_table(pts, [a, b])
+    analytic = ver._bracket_form(*(s.sums(phases, ver._BRACKET_ORDERS)
                                    for s in (a, b)))
-    fd = geo.lie_bracket(M, lambda t, q: a.field_values(q),
-                         lambda t, q: b.field_values(q), 0.0, pts)
+
+    def field(s):
+        def values(t, q):
+            return s.field_values(ver.FourierStream.phase_table(q, [s]))
+        return values
+
+    fd = geo.lie_bracket(M, field(a), field(b), 0.0, pts)
     scale = np.max(np.abs(analytic))
     assert np.max(np.abs(analytic - fd)) < 1e-7 * scale
 
