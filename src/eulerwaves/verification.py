@@ -270,6 +270,11 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
     fields: its ``-v`` row is the real part, its ``-w`` row the imaginary
     part.  The coadjoint form is inverse-free: the defining identity
     composed with the inertia relation, so no elliptic solve is needed.
+
+    Each row divides by the larger sup of its two sides, and a bracket row
+    by at least the sup of its term-wise bracket (``_bracket_scale``): when
+    both sides vanish (zeta = 0, or lam = 0 with A u0 != 0) the left side
+    is FD rounding of terms of that size, not a quantity to divide by.
     """
     M = sol.manifold
     grid = _resolve_grid(grid, M.dim)
@@ -290,21 +295,35 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
                      for f in (sol.base_flow, z, sol.base_image))
     z_vals = jz[0]
     relations = [
-        ("eigen-inertia", Az, sp.alpha * z_vals),
-        ("eigen-advection", geo._lie_form(*ju0, *jz), 1j * sp.zeta * z_vals),
+        ("eigen-inertia", Az, sp.alpha * z_vals, 0.0),
+        ("eigen-advection", geo._lie_form(*ju0, *jz), 1j * sp.zeta * z_vals,
+         _bracket_scale(M, pts, ju0, jz)),
         ("eigen-coadjoint", geo._lie_form(*jz, *jAu0),
-         -1j * (sp.lam * sp.alpha) * z_vals),
+         -1j * (sp.lam * sp.alpha) * z_vals, _bracket_scale(M, pts, jz, jAu0)),
     ]
-    rows = [(f"{stem}-{part}", take(lhs), take(rhs))
-            for stem, lhs, rhs in relations
+    rows = [(f"{stem}-{part}", take(lhs), take(rhs), scale)
+            for stem, lhs, rhs, scale in relations
             for part, take in (("v", np.real), ("w", np.imag))]
-    tols = {name: _resolve_tol(tol, name, M.dim) for name, _, _ in rows}
+    tols = {name: _resolve_tol(tol, name, M.dim) for name, *_ in rows}
     checks = []
-    for name, lhs, rhs in rows:
-        norm = max(np.max(_norms(M, pts, lhs)), np.max(_norms(M, pts, rhs)))
+    for name, lhs, rhs, scale in rows:
+        norm = max(np.max(_norms(M, pts, lhs)), np.max(_norms(M, pts, rhs)),
+                   scale)
         checks.append(_check(name, _norms(M, pts, lhs - rhs), norm,
                              tols[name]))
     return _report(sol, grid, [0.0], tols, checks, seed=seed)
+
+
+def _bracket_scale(M: geo.ChartedManifold, pts: np.ndarray, ju,
+                   jv) -> float:
+    """Sup of the metric norm of the term-wise bracket
+    sum_a |d_a v^i| |u^a| + sum_a |d_a u^i| |v^a| from the jets (values,
+    Jacobians) of u and v: the size of the terms that cancel in [u, v].
+    Complex moduli bound the real and the imaginary part alike."""
+    (u, du), (v, dv) = ju, jv
+    terms = (np.einsum("nij,nj->ni", np.abs(dv), np.abs(u))
+             + np.einsum("nij,nj->ni", np.abs(du), np.abs(v)))
+    return float(np.max(_norms(M, pts, terms)))
 
 
 # ---------------------------------------------------------------------------

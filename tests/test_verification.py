@@ -272,10 +272,24 @@ def _written_out_pair_rows(sol, pts):
     ]
 
 
+def _term_wise_scale(M, pts, u, v):
+    """The sup over pts of the metric norm of the term-wise bracket
+    sum_a |d_a v^i| |u^a| + |d_a u^i| |v^a|, one term at a time."""
+    uv, vv = u(0.0, pts), v(0.0, pts)
+    du, dv = (geo.field_jacobian(M, f, 0.0, pts) for f in (u, v))
+    terms = np.zeros(uv.shape)
+    for i in range(M.dim):
+        for a in range(M.dim):
+            terms[:, i] += (np.abs(dv[:, i, a]) * np.abs(uv[:, a])
+                            + np.abs(du[:, i, a]) * np.abs(vv[:, a]))
+    return np.max(ver._norms(M, pts, terms))
+
+
 @pytest.mark.parametrize("key", cat.catalogue_keys())
 def test_eigen_rows_match_written_out_pair(key):
     # the rows of the complex relations on z are the real (-v) and imaginary
-    # (-w) parts of the six relations on the re/im pair, spelled out above
+    # (-w) parts of the six relations on the re/im pair, spelled out above;
+    # a bracket row's normalizer is at least its term-wise bracket's sup
     sol = cat.build(key)
     M = sol.manifold
     grid = _SMALL_GRIDS[M.dim]
@@ -283,10 +297,15 @@ def test_eigen_rows_match_written_out_pair(key):
     pts = np.concatenate([M.interior_grid(grid), M.random_interior(
         200, np.random.default_rng(ver.DEFAULT_SEED))])
     want = _written_out_pair_rows(sol, pts)
+    scales = {
+        "eigen-advection": _term_wise_scale(M, pts, sol.base_flow, sol.wave),
+        "eigen-coadjoint": _term_wise_scale(M, pts, sol.wave, sol.base_image),
+    }
     assert [c.name for c in rep.checks] == [name for name, _, _ in want]
     for c, (name, lhs, rhs) in zip(rep.checks, want):
         norm = max(np.max(ver._norms(M, pts, lhs)),
-                   np.max(ver._norms(M, pts, rhs)))
+                   np.max(ver._norms(M, pts, rhs)),
+                   scales.get(name.rsplit("-", 1)[0], 0.0))
         ref = ver._check(name, ver._norms(M, pts, lhs - rhs), norm, c.tol)
         got_ratio = c.sup / c.normalizer
         ref_ratio = ref.sup / ref.normalizer
@@ -323,7 +342,10 @@ _CARRIERS = {"alpha": ("eigen-inertia", "eigen-coadjoint"),
 def test_eigen_rows_reject_a_wrong_spectral_value(key, value):
     # scaling alpha, zeta or lam by 1.1 (setting it to 0.1 where it is 0)
     # must fail exactly the rows whose right-hand side carries it, by far
-    sol = cat.build(key)
+    _assert_wrong_value_fails_its_rows(cat.build(key), value)
+
+
+def _assert_wrong_value_fails_its_rows(sol, value, margin=100.0):
     old = getattr(sol.spectral, value)
     bad = replace(sol, spectral=replace(
         sol.spectral, **{value: 1.1 * old if old != 0.0 else 0.1}))
@@ -335,9 +357,25 @@ def test_eigen_rows_reject_a_wrong_spectral_value(key, value):
     rep = ver.check_eigen_relations(bad, grid=_SMALL_GRIDS[sol.dim])
     for c in rep.checks:
         if c.name in carriers:
-            assert c.sup / c.normalizer > 100.0 * c.tol, c.name
+            assert c.sup / c.normalizer > margin * c.tol, c.name
         else:
             assert c.passed, c.name
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_eigen_rows_pass_where_both_sides_vanish(j, d, sign):
+    # rossby-s3 with k = -j is an exact stationary flow with zeta = lam = 0:
+    # both sides of the advection and coadjoint relations vanish, so a row
+    # normalized by its sides alone read its FD rounding over itself, 1.0.
+    # A wrong value still fails its rows; zeta = 0.1 is a small offset next
+    # to wavenumbers up to 4, so by 50x the tolerance (88x at j = 4)
+    sol = cat.rossby_s3(j=j, k=-j, d=d, sign=sign)
+    rep = ver.check_eigen_relations(sol)
+    assert [c.name for c in rep.checks if not c.passed] == []
+    for value in sorted(_CARRIERS):
+        _assert_wrong_value_fails_its_rows(sol, value, margin=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +670,13 @@ def test_report_json_roundtrip_and_determinism():
 # versions they were taken with only.
 _PIN_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
 _REPORT_PINS = {
-    "ck-cylinder": "b2ccb2fb695dea92",
-    "kelvin-disk": "a998c43f21c7dfab",
-    "kelvin-hyperbolic": "51240eba983a4272",
-    "kelvin-torus": "2edb5b43e866f351",
-    "rossby-s3": "f7f0e056330af15f",
-    "rossby-sphere": "0f653a8d5ccfcba9",
-    "twisted-annulus": "bc80b2c27ed82d58",
+    "ck-cylinder": "60f983c0538a4c92",
+    "kelvin-disk": "592f52c732782deb",
+    "kelvin-hyperbolic": "822eaf5213cd577b",
+    "kelvin-torus": "b03a436802d8d042",
+    "rossby-s3": "cb79a53cfdd58f66",
+    "rossby-sphere": "49dd36e8e144f81b",
+    "twisted-annulus": "672162fd8a2d611a",
 }
 
 
