@@ -350,10 +350,22 @@ def fd_partial(f, t: float, pts: np.ndarray, axis: int, h: float):
     sent to ``f`` in one call of 4N points, so a callable nested k stencils
     deep sees one call of 4^k N points per differentiated axis.
     """
+    return _difference(f(t, _stencil(pts, axis, h)), h)
+
+
+def _stencil(pts: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The four shifted copies of ``pts`` along ``axis`` (+h, -h, +2h, -2h),
+    stacked into one (4N, dim) batch."""
     n = len(pts)
     q = np.tile(pts, (4, 1))
     q[:, axis] += np.repeat([h, -h, 2.0 * h, -2.0 * h], n)
-    vals = f(t, q)
+    return q
+
+
+def _difference(vals: np.ndarray, h: float) -> np.ndarray:
+    """The 4th-order central difference from the values of a field on a
+    ``_stencil`` batch."""
+    n = len(vals) // 4
     fp1, fm1, fp2, fm2 = (vals[k * n:(k + 1) * n] for k in range(4))
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
@@ -426,11 +438,32 @@ def curl3(M: ChartedManifold, u, t: float, pts: np.ndarray,
     def cov(tt, q):
         return M.lower(q, np.asarray(u(tt, q)))
 
-    d = [fd_partial(cov, t, pts, j, h[j]) for j in range(3)]  # d[j][:, k]
-    rg = M.sqrt_det(pts)
-    c0 = (d[1][:, 2] - d[2][:, 1]) / rg
-    c1 = (d[2][:, 0] - d[0][:, 2]) / rg
-    c2 = (d[0][:, 1] - d[1][:, 0]) / rg
+    d = [fd_partial(cov, t, pts, j, h[j]) for j in range(3)]
+    return _curl_form(d, M.sqrt_det(pts))
+
+
+def _curl_jet(M: ChartedManifold, u, t: float, pts: np.ndarray,
+              h_scale: float = 1.0) -> tuple:
+    """``(curl3(u), field_jacobian(u))`` at ``pts``, bit for bit, from one
+    call of u per axis stencil: each stencil's values give both the partial
+    of u and the partial of its lowered components."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    h = M.fd_steps(h_scale)
+    du, dcov = [], []
+    for j in range(3):
+        q = _stencil(pts, j, h[j])
+        vals = np.asarray(u(t, q))
+        du.append(_difference(vals, h[j]))
+        dcov.append(_difference(M.lower(q, vals), h[j]))
+    return _curl_form(dcov, M.sqrt_det(pts)), np.stack(du, axis=-1)
+
+
+def _curl_form(d, sqrt_det: np.ndarray) -> np.ndarray:
+    """The contravariant curl from the partials ``d[j][:, k] = d_j u_k`` of
+    the lowered components and the volume density."""
+    c0 = (d[1][:, 2] - d[2][:, 1]) / sqrt_det
+    c1 = (d[2][:, 0] - d[0][:, 2]) / sqrt_det
+    c2 = (d[0][:, 1] - d[1][:, 0]) / sqrt_det
     return np.stack([c0, c1, c2], axis=-1)
 
 

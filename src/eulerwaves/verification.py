@@ -289,10 +289,12 @@ def check_eigen_relations(sol: ExactSolution, grid=None, tol=None,
             return geo.laplace_beltrami(M, sol.psi_wave, t, q)
 
         Az = geo.skew_gradient_values(M, vorticity, 0.0, pts)
+        jz = (z(0.0, pts), geo.field_jacobian(M, z, 0.0, pts))
     else:
-        Az = geo.curl3(M, z, 0.0, pts)
-    ju0, jz, jAu0 = ((f(0.0, pts), geo.field_jacobian(M, f, 0.0, pts))
-                     for f in (sol.base_flow, z, sol.base_image))
+        Az, dz = geo._curl_jet(M, z, 0.0, pts)
+        jz = (z(0.0, pts), dz)
+    ju0, jAu0 = ((f(0.0, pts), geo.field_jacobian(M, f, 0.0, pts))
+                 for f in (sol.base_flow, sol.base_image))
     z_vals = jz[0]
     relations = [
         ("eigen-inertia", Az, sp.alpha * z_vals, 0.0),
@@ -378,19 +380,25 @@ def _harmonics(sol: ExactSolution, pts: np.ndarray, s: float) -> tuple:
 
         def bracket(f, g):
             return geo._poisson_form(f[1], g[1], rg)
+
+        def jets(f):
+            return jet(f), jet(image(f))
     else:
         A, b, z = geo.curl3, sol.base_flow, sol.wave
-
-        def jet(f):
-            return f(0.0, pts), geo.field_jacobian(M, f, 0.0, pts, s)
 
         def bracket(f, g):
             return geo._lie_form(f[0], f[1], g[0], g[1])
 
+        def jets(f):
+            # A f at pts and the Jacobian of f share f's stencil calls
+            Af, df = geo._curl_jet(M, f, 0.0, pts, s)
+            return ((f(0.0, pts), df),
+                    (Af, geo.field_jacobian(M, image(f), 0.0, pts, s)))
+
     def image(f):
         return lambda t, q: A(M, f, t, q, h_scale=s)
 
-    jb, jz, jAb, jAz = (jet(f) for f in (b, z, image(b), image(z)))
+    (jb, jAb), (jz, jAz) = jets(b), jets(z)
     Ab, Az = jAb[0], jAz[0]
     cross = bracket(jb, jAz) + bracket(jz, jAb)
     zAz = bracket(jz, jAz)
