@@ -20,6 +20,13 @@ separate real and imaginary part is built.  Both are a coefficient profile
 of the one bounded chart coordinate times a Fourier phase e^{i k.x} of the
 periodic ones, built by ``_separable``.
 
+Each entry is stated once, as data: the integer chart components of u0 and
+of its inertia image A u0, the wave's integer wavenumbers k, the inertia
+eigenvalue alpha and the coefficient profile (on surfaces also the stream
+profile and the base stream psi0).  The rest is derived by one rule
+(``_spectral``): u0 and A u0 act on e^{i k.x} by multiplication, so
+zeta is u0.k and lam is (A u0.k) / alpha.
+
 Constructors return :class:`ExactSolution`; :data:`CATALOGUE` maps the public
 entry keys onto them.  Each entry's default parameters are its builder's
 keyword defaults, read from the builder's signature once, at import.
@@ -96,8 +103,23 @@ def _classify(zeta_int: int, lam: float, lam_exact: Optional[Fraction]) -> str:
     return "genuine"
 
 
-def _spectral(alpha: float, zeta: int, lam: float,
-              lam_exact: Optional[Fraction]) -> SpectralData:
+def _spectral(alpha, u0, Au0, k) -> SpectralData:
+    """The spectral data of a wave with wavenumbers ``k`` riding the Killing
+    field with chart components ``u0`` and inertia image ``Au0``.
+
+    Both fields translate the periodic axes, so on the phase e^{i k.x} the
+    brackets are multiplication: [u0, z] = i (u0.k) z and
+    [z, A u0] = -i (A u0.k) z = -i lam alpha z.  The integer dot products
+    make ``lam_exact`` a ``Fraction`` whenever alpha is an int or A u0.k
+    vanishes.
+    """
+    zeta = sum(a * b for a, b in zip(u0, k))
+    coriolis = sum(a * b for a, b in zip(Au0, k))
+    lam = coriolis / alpha
+    if isinstance(alpha, int):
+        lam_exact = Fraction(coriolis, alpha)
+    else:
+        lam_exact = Fraction(0) if coriolis == 0 else None
     omega = lam - zeta
     omega_exact = None if lam_exact is None else lam_exact - zeta
     return SpectralData(
@@ -273,6 +295,25 @@ def _separable(M: geo.ChartedManifold, k, profile):
     return evaluate
 
 
+def _assemble(key: str, M: geo.ChartedManifold, params: dict, rho, sigma, *,
+              alpha, u0, Au0, k, profile, stream=None, psi0=None,
+              metadata=None) -> ExactSolution:
+    """The solution of one catalogue entry from its data: the base flow
+    ``u0`` and its image ``Au0`` as integer chart components, the integer
+    wavenumbers ``k`` and the coefficient ``profile`` of the wave (and on
+    surfaces of its ``stream``, with the base stream ``psi0``), and the
+    inertia eigenvalue ``alpha``.  ``params`` are the entry's parameters
+    before ``rho`` and ``sigma``."""
+    return ExactSolution(
+        key=key, params={**params, "rho": rho, "sigma": sigma}, manifold=M,
+        base_flow=constant_field(u0), base_image=constant_field(Au0),
+        wave=_separable(M, k, profile), spectral=_spectral(alpha, u0, Au0, k),
+        rho=float(rho), sigma=float(sigma), psi_base=psi0,
+        psi_wave=None if stream is None else _separable(M, k, stream),
+        metadata=metadata or {},
+    )
+
+
 # ---------------------------------------------------------------------------
 # flat torus
 # ---------------------------------------------------------------------------
@@ -290,20 +331,11 @@ def kelvin_torus(n: int = 1, m: int = 2,
     m = _check_int("m", m)
     if n == 0 and m == 0:
         raise ConstructionError("kelvin-torus needs (n, m) != (0, 0)")
-    M = geo.flat_torus()
-
-    psi0 = lambda t, p: p[:, 1].copy()
-    u0, Au0 = constant_field((1.0, 0.0)), constant_field((0.0, 0.0))
-    psi = _separable(M, (n, m), 1.0)
-    zfunc = _separable(M, (n, m), np.array([[1j * m, -1j * n]]))
-
-    spectral = _spectral(alpha=n * n + m * m, zeta=n, lam=0.0,
-                         lam_exact=Fraction(0))
-    return ExactSolution(
-        key="kelvin-torus", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
-        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
-    )
+    return _assemble(
+        "kelvin-torus", geo.flat_torus(), {"n": n, "m": m}, rho, sigma,
+        alpha=n * n + m * m, u0=(1, 0), Au0=(0, 0), k=(n, m),
+        profile=np.array([[1j * m, -1j * n]]), stream=1.0,
+        psi0=lambda t, p: p[:, 1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +357,17 @@ def kelvin_disk(n: int = 1, m: int = 1,
         raise ConstructionError("kelvin-disk needs a radial index m >= 1")
     nu = abs(n)
     beta = sf.bessel_j_zero(nu, m)
-    M = geo.flat_disk()
-
-    psi0 = lambda t, p: -0.5 * p[:, 0] ** 2
-    u0, Au0 = constant_field((0.0, 1.0)), constant_field((0.0, 0.0))
 
     def z_profile(r):
         J, Jp = sf.bessel_j(nu, beta * r), sf.bessel_j_prime(nu, beta * r)
         return np.stack([(1j * n / r) * J, -(beta / r) * Jp], axis=-1)
 
-    psi = _separable(M, (0, n), lambda r: sf.bessel_j(nu, beta * r))
-    zfunc = _separable(M, (0, n), z_profile)
-
-    spectral = _spectral(alpha=beta ** 2, zeta=n, lam=0.0,
-                         lam_exact=Fraction(0))
-    return ExactSolution(
-        key="kelvin-disk", params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
-        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
-        metadata={"beta": float(beta)},
-    )
+    return _assemble(
+        "kelvin-disk", geo.flat_disk(), {"n": n, "m": m}, rho, sigma,
+        alpha=beta ** 2, u0=(0, 1), Au0=(0, 0), k=(0, n), profile=z_profile,
+        stream=lambda r: sf.bessel_j(nu, beta * r),
+        psi0=lambda t, p: -0.5 * p[:, 0] ** 2,
+        metadata={"beta": float(beta)})
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +391,16 @@ def rossby_sphere(n: int = 1, m: int = 2,
     if abs(n) > m:
         raise ConstructionError("rossby-sphere needs |n| <= m")
     nu = abs(n)
-    M = geo.round_sphere()
-
-    psi0 = lambda t, p: -np.cos(p[:, 1])
-    u0, Au0 = constant_field((1.0, 0.0)), constant_field((2.0, 0.0))
 
     def z_profile(phi):
         P, dP = sf.assoc_legendre(m, nu, np.cos(phi), derivative=True)
         return np.stack([-dP, (-1j * n / np.sin(phi)) * P], axis=-1)
 
-    psi = _separable(M, (n, 0),
-                     lambda phi: sf.assoc_legendre(m, nu, np.cos(phi)))
-    zfunc = _separable(M, (n, 0), z_profile)
-
-    spectral = _spectral(alpha=m * (m + 1), zeta=n,
-                         lam=float(Fraction(2 * n, m * (m + 1))),
-                         lam_exact=Fraction(2 * n, m * (m + 1)))
-    return ExactSolution(
-        key="rossby-sphere",
-        params={"n": n, "m": m, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
-        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
-    )
+    return _assemble(
+        "rossby-sphere", geo.round_sphere(), {"n": n, "m": m}, rho, sigma,
+        alpha=m * (m + 1), u0=(1, 0), Au0=(2, 0), k=(n, 0), profile=z_profile,
+        stream=lambda phi: sf.assoc_legendre(m, nu, np.cos(phi)),
+        psi0=lambda t, p: -np.cos(p[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +426,20 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
         mode = sf.hyperbolic_radial_mode(nu, m, r_max=float(r_max))
     except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
-    E = mode.eigenvalue
-    M = geo.hyperbolic_disk(r_max=float(r_max))
-
-    psi0 = lambda t, p: -np.cosh(p[:, 0])
-    u0, Au0 = constant_field((0.0, 1.0)), constant_field((0.0, -2.0))
 
     def z_profile(r):
         s = np.sinh(r)
         return np.stack([(1j * n / s) * mode.value(r),
                          -(mode.derivative(r) / s)], axis=-1)
 
-    psi = _separable(M, (0, n), mode.value)
-    zfunc = _separable(M, (0, n), z_profile)
-
-    lam = -2.0 * n / E
-    spectral = _spectral(alpha=E, zeta=n, lam=lam,
-                         lam_exact=Fraction(0) if n == 0 else None)
-    return ExactSolution(
-        key="kelvin-hyperbolic",
-        params={"n": n, "m": m, "r_max": float(r_max),
-                "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc, psi_base=psi0,
-        psi_wave=psi, spectral=spectral, rho=float(rho), sigma=float(sigma),
+    return _assemble(
+        "kelvin-hyperbolic", geo.hyperbolic_disk(r_max=float(r_max)),
+        {"n": n, "m": m, "r_max": float(r_max)}, rho, sigma,
+        alpha=mode.eigenvalue, u0=(0, 1), Au0=(0, -2), k=(0, n),
+        profile=z_profile, stream=mode.value,
+        psi0=lambda t, p: -np.cosh(p[:, 0]),
         metadata={"beta": float(mode.beta),
-                  "boundary-residual": float(mode.boundary_residual)},
-    )
+                  "boundary-residual": float(mode.boundary_residual)})
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +489,7 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
     eigenfield built from the harmonic with Hopf charges (j, k) and meridional
     index d, curl eigenvalue l = |j| + |k| + 2 d on the ``+`` ladder or
     -(l + 2) on the ``-`` ladder.  Both frequencies are exact rationals:
-    zeta = j + k and lam = -2 (j + k) / alpha.
+    advection j + k and coadjoint -2 (j + k) / alpha.
     """
     j = _check_int("j", j)
     k = _check_int("k", k)
@@ -504,38 +503,24 @@ def rossby_s3(j: int = 1, k: int = 0, d: int = 0, sign: str = "-",
     if alpha == 0:
         raise ConstructionError(
             "rossby-s3 with (j, k, d, sign) = (0, 0, 0, '+') is degenerate")
-    n = j + k
 
     # Normalisation chosen so the lowest '-' entries match their displayed
     # closed forms; every other combination is left with unit scale.
     scale = 1.0
     if sign == "-" and d == 0 and j >= 0 and k >= 0 and (j, k) != (0, 0):
-        scale = 1.0 / (2.0 * (n + 1.0))
+        scale = 1.0 / (2.0 * (j + k + 1.0))
 
-    M = geo.three_sphere()
-    zfunc = _separable(M, (0, j, k),
-                       _s3_curl_profile(j, k, d, alpha, scale))
-
-    probe = M.interior_grid((5, 4, 4))
-    if np.max(np.abs(zfunc(0.0, probe))) <= 1e-10 * max(1.0, alpha * alpha):
+    sol = _assemble(
+        "rossby-s3", geo.three_sphere(), {"j": j, "k": k, "d": d, "sign": sign},
+        rho, sigma, alpha=alpha, u0=(0, 1, 1), Au0=(0, -2, -2), k=(0, j, k),
+        profile=_s3_curl_profile(j, k, d, alpha, scale),
+        metadata={"ell": ell, "scale": scale})
+    probe = sol.manifold.interior_grid((5, 4, 4))
+    if np.max(np.abs(sol.wave(0.0, probe))) <= 1e-10 * max(1.0, alpha * alpha):
         raise ConstructionError(
             f"(j, k, d, sign) = ({j}, {k}, {d}, {sign!r}) gives the zero "
             "eigenfield; take the other curl ladder")
-
-    u0 = constant_field((0.0, 1.0, 1.0))
-    Au0 = constant_field((0.0, -2.0, -2.0))
-
-    lam_exact = Fraction(-2 * n, alpha)
-    spectral = _spectral(alpha=alpha, zeta=n, lam=float(lam_exact),
-                         lam_exact=lam_exact)
-    return ExactSolution(
-        key="rossby-s3",
-        params={"j": j, "k": k, "d": d, "sign": sign,
-                "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0, wave=zfunc,
-        spectral=spectral, rho=float(rho), sigma=float(sigma),
-        metadata={"ell": ell, "scale": scale},
-    )
+    return sol
 
 
 def embed_s3_to_r4(solution: ExactSolution) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -600,10 +585,6 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
     if branch < 1:
         raise ConstructionError("ck-cylinder needs branch >= 1")
     beta, alpha = solvers.ck_dispersion_root(n, m, branch)
-    M = geo.solid_cylinder()
-
-    u0 = constant_field((0.0, 1.0, 0.0))
-    Au0 = constant_field((0.0, 0.0, 2.0))
 
     def z_profile(r):
         J, Jp = sf.bessel_j(n, beta * r), sf.bessel_j_prime(n, beta * r)
@@ -611,17 +592,11 @@ def ck_cylinder(n: int = 1, m: int = 1, branch: int = 1,
         return np.stack([-1j * (m * beta * Jp + (n * alpha / r) * J),
                          g / r ** 2, -(beta ** 2) * J], axis=-1)
 
-    lam = 2.0 * m / alpha
-    spectral = _spectral(alpha=alpha, zeta=n, lam=lam,
-                         lam_exact=Fraction(0) if m == 0 else None)
-    return ExactSolution(
-        key="ck-cylinder",
-        params={"n": n, "m": m, "branch": branch, "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0,
-        wave=_separable(M, (0, n, m), z_profile),
-        spectral=spectral, rho=float(rho), sigma=float(sigma),
-        metadata={"beta": float(beta)},
-    )
+    return _assemble(
+        "ck-cylinder", geo.solid_cylinder(),
+        {"n": n, "m": m, "branch": branch}, rho, sigma, alpha=alpha,
+        u0=(0, 1, 0), Au0=(0, 0, 2), k=(0, n, m), profile=z_profile,
+        metadata={"beta": float(beta)})
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +631,6 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
     except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
     alpha = mode.alpha
-    M = geo.cmetric_chart(c, r_lo, r_hi)
-
-    u0 = constant_field((0.0, 1.0, 0.0))
-    Au0 = constant_field((0.0, 0.0, 2.0))
 
     def z_profile(r):
         g, h = mode.g(r), mode.h(r)
@@ -673,18 +644,12 @@ def twisted_annulus(m: int = 1, n: int = 0, c: float = -0.3,
         "k": float(np.sqrt(ksq)) if ksq >= 0 else None,
         "nu": float(np.sqrt(nusq)) if nusq >= 0 else None,
     }
-    lam = 2.0 * m / alpha
-    spectral = _spectral(alpha=alpha, zeta=n, lam=lam,
-                         lam_exact=Fraction(0) if m == 0 else None)
-    return ExactSolution(
-        key="twisted-annulus",
-        params={"m": m, "n": n, "c": c, "r_lo": float(r_lo),
-                "r_hi": float(r_hi), "branch": branch,
-                "rho": rho, "sigma": sigma},
-        manifold=M, base_flow=u0, base_image=Au0,
-        wave=_separable(M, (0, n, m), z_profile),
-        spectral=spectral, rho=float(rho), sigma=float(sigma), metadata=meta,
-    )
+    return _assemble(
+        "twisted-annulus", geo.cmetric_chart(c, r_lo, r_hi),
+        {"m": m, "n": n, "c": c, "r_lo": float(r_lo), "r_hi": float(r_hi),
+         "branch": branch}, rho, sigma, alpha=alpha,
+        u0=(0, 1, 0), Au0=(0, 0, 2), k=(0, n, m), profile=z_profile,
+        metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import jv, jvp
 
 from eulerwaves import catalogue as cat
@@ -20,6 +21,7 @@ from eulerwaves import fields
 from eulerwaves import geometry as geo
 from eulerwaves import solvers
 from eulerwaves import specfun as sf
+from eulerwaves import verification as ver
 
 
 # ---------------------------------------------------------------------------
@@ -166,29 +168,12 @@ def test_sphere_spectral_table():
         cat.rossby_sphere(n=0, m=0)
 
 
-def test_sphere_base_flow_inertia_image():
-    # Listed closed form A(d_theta) = 2 d_theta, cross-checked against the
-    # stream-function route computed by the generic FD machinery.
-    sol = cat.rossby_sphere(n=1, m=2)
-    M = sol.manifold
-    pts = M.interior_grid((10, 10))
-    listed = sol.base_image(0.0, pts)
-    assert np.allclose(listed, [2.0, 0.0])
-    psi = sol.psi_base
-
-    def vort(t, q):
-        return geo.laplace_beltrami(M, psi, t, q)
-
-    route = geo.skew_gradient_values(M, vort, 0.0, pts)
-    assert np.max(np.abs(route - listed)) < 1e-5
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic disk
 # ---------------------------------------------------------------------------
 
 
-def test_hyperbolic_spectral_and_image():
+def test_hyperbolic_spectral_data():
     sol = cat.kelvin_hyperbolic(n=1, m=1)
     E = sol.spectral.alpha
     assert E > 0.25  # geometer-positive eigenvalue 1/4 + beta^2
@@ -196,18 +181,6 @@ def test_hyperbolic_spectral_and_image():
     assert abs(sol.omega - (-(E + 2.0) / E)) < 1e-13
     assert sol.spectral.classification == "genuine"
     assert cat.kelvin_hyperbolic(n=0, m=1).spectral.classification == "stationary"
-
-    M = sol.manifold
-    pts = M.interior_grid((10, 10))
-    listed = sol.base_image(0.0, pts)
-    assert np.allclose(listed, [0.0, -2.0])
-    psi = sol.psi_base
-
-    def vort(t, q):
-        return geo.laplace_beltrami(M, psi, t, q)
-
-    route = geo.skew_gradient_values(M, vort, 0.0, pts)
-    assert np.max(np.abs(route - listed)) < 1e-5
 
 
 def test_hyperbolic_wave_matches_radial_mode():
@@ -415,13 +388,130 @@ def test_annulus_wave_is_curl_eigenfield_and_tangent():
         assert np.max(np.abs(nc)) < 1e-8
 
 
-def test_annulus_base_flow_image():
-    sol = cat.twisted_annulus(m=1)
+# ---------------------------------------------------------------------------
+# spectral data derived from the base and the wavenumbers
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", cat.catalogue_keys())
+def test_base_image_is_the_inertia_image_of_the_base(key):
+    # zeta and lam are derived from the listed components of u0 and A u0, so
+    # the listed A u0 is checked against the FD inertia operator: on
+    # surfaces sgrad psi0 = u0 and sgrad(lap psi0) = A u0, in 3D curl u0 = A u0
+    sol = cat.build(key)
     M = sol.manifold
-    pts = M.interior_grid((8, 5, 5))
-    listed = sol.base_image(0.0, pts)
-    fd = geo.curl3(M, sol.base_flow, 0.0, pts)
-    assert np.max(np.abs(fd - listed)) < 1e-8
+    pts = M.interior_grid((10,) * M.dim)
+    u0, Au0 = sol.base_flow(0.0, pts), sol.base_image(0.0, pts)
+    if M.dim == 2:
+        def vorticity(t, q):
+            return geo.laplace_beltrami(M, sol.psi_base, t, q)
+
+        routes = [(geo.skew_gradient_values(M, sol.psi_base, 0.0, pts), u0),
+                  (geo.skew_gradient_values(M, vorticity, 0.0, pts), Au0)]
+    else:
+        routes = [(geo.curl3(M, sol.base_flow, 0.0, pts), Au0)]
+    for route, listed in routes:
+        assert np.max(np.abs(route - listed)) < 1e-5
+
+
+# repr of (alpha, zeta, lam, omega, lam_exact, omega_exact) and the class of
+# the seven defaults and twelve members, taken while each entry still wrote
+# its zeta and lam out by hand.  One value has moved since: kelvin-hyperbolic
+# at n = 0 had lam = omega = -0.0 (from -2.0 * n / E), and u0.k = A u0.k = 0
+# now give +0.0.  The low bits of numerically determined spectra follow
+# numpy and scipy, so elsewhere the floats are compared to 1e-12.
+_SPECTRAL_PIN_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
+_SPECTRAL_PINS = [
+    ("ck-cylinder", {},
+     ("3.1368518874236297", "1.0", "0.6375819043348735",
+      "-0.3624180956651265", "None", "None", "genuine")),
+    ("kelvin-disk", {},
+     ("14.681970642123895", "1.0", "0.0", "-1.0", "Fraction(0, 1)",
+      "Fraction(-1, 1)", "moving-frame-trivial")),
+    ("kelvin-hyperbolic", {},
+     ("14.697557983083104", "1.0", "-0.13607702737434346",
+      "-1.1360770273743435", "None", "None", "genuine")),
+    ("kelvin-torus", {},
+     ("5.0", "1.0", "0.0", "-1.0", "Fraction(0, 1)", "Fraction(-1, 1)",
+      "moving-frame-trivial")),
+    ("rossby-s3", {},
+     ("-3.0", "1.0", "0.6666666666666666", "-0.33333333333333337",
+      "Fraction(2, 3)", "Fraction(-1, 3)", "genuine")),
+    ("rossby-sphere", {},
+     ("6.0", "1.0", "0.3333333333333333", "-0.6666666666666667",
+      "Fraction(1, 3)", "Fraction(-2, 3)", "genuine")),
+    ("twisted-annulus", {},
+     ("1.2500000000000013", "0.0", "1.5999999999999983",
+      "1.5999999999999983", "None", "None", "genuine")),
+    ("kelvin-torus", {"n": 3, "m": -2},
+     ("13.0", "3.0", "0.0", "-3.0", "Fraction(0, 1)", "Fraction(-3, 1)",
+      "moving-frame-trivial")),
+    ("kelvin-disk", {"n": -2, "m": 3},
+     ("135.02070886597045", "-2.0", "0.0", "2.0", "Fraction(0, 1)",
+      "Fraction(2, 1)", "moving-frame-trivial")),
+    ("rossby-sphere", {"n": 3, "m": 6},
+     ("42.0", "3.0", "0.14285714285714285", "-2.857142857142857",
+      "Fraction(1, 7)", "Fraction(-20, 7)", "genuine")),
+    ("rossby-sphere", {"n": 0, "m": 2},
+     ("6.0", "0.0", "0.0", "0.0", "Fraction(0, 1)", "Fraction(0, 1)",
+      "stationary")),
+    ("kelvin-hyperbolic", {"n": 0},
+     ("6.11308181971177", "0.0", "0.0", "0.0", "Fraction(0, 1)",
+      "Fraction(0, 1)", "stationary")),
+    ("kelvin-hyperbolic", {"n": -2, "m": 2},
+     ("69.93312407719931", "-2.0", "0.05719750193891513",
+      "2.0571975019389153", "None", "None", "genuine")),
+    ("rossby-s3", {"j": 2, "k": 1, "d": 1},
+     ("-7.0", "3.0", "0.8571428571428571", "-2.142857142857143",
+      "Fraction(6, 7)", "Fraction(-15, 7)", "genuine")),
+    ("rossby-s3", {"j": 3, "k": -3, "d": 0, "sign": "+"},
+     ("6.0", "0.0", "0.0", "0.0", "Fraction(0, 1)", "Fraction(0, 1)",
+      "stationary")),
+    ("ck-cylinder", {"n": 0, "m": 2},
+     ("4.322264527088011", "0.0", "0.9254408134744296",
+      "0.9254408134744296", "None", "None", "genuine")),
+    ("ck-cylinder", {"n": 2, "m": 0},
+     ("5.135622301840524", "2.0", "0.0", "-2.0", "Fraction(0, 1)",
+      "Fraction(-2, 1)", "moving-frame-trivial")),
+    ("twisted-annulus", {"m": 0, "n": 1},
+     ("0.7805690024578226", "1.0", "0.0", "-1.0", "Fraction(0, 1)",
+      "Fraction(-1, 1)", "moving-frame-trivial")),
+    ("twisted-annulus", {"m": 2, "n": 1},
+     ("2.128607088557995", "1.0", "1.8791631492262684",
+      "0.8791631492262684", "None", "None", "genuine")),
+]
+
+
+def _spectral_floats(sp):
+    return (sp.alpha, sp.zeta, sp.lam, sp.omega)
+
+
+@pytest.mark.parametrize(
+    "key, params, want", _SPECTRAL_PINS,
+    ids=[key + "".join(f"-{k}={v}" for k, v in params.items())
+         for key, params, _ in _SPECTRAL_PINS])
+def test_spectral_data_of_the_member_grid_is_pinned(key, params, want):
+    sol = cat.build(key, **params)
+    sp = sol.spectral
+    got = tuple(map(repr, _spectral_floats(sp))) + (
+        repr(sp.lam_exact), repr(sp.omega_exact), sp.classification)
+    if (np.__version__, scipy.__version__) == _SPECTRAL_PIN_VERSIONS:
+        assert got == want
+    else:
+        assert got[4:] == want[4:]
+        assert np.allclose(_spectral_floats(sp), [float(v) for v in want[:4]],
+                           rtol=1e-12, atol=0.0)
+    if params:
+        rep = ver.check_eigen_relations(sol, grid=(8,) * sol.dim)
+        assert rep.all_pass, [c.name for c in rep.checks if not c.passed]
+
+
+def test_spectral_zeros_are_positive():
+    # a zero frequency is +0.0 on every member: no -0.0 reaches a report
+    for key, params, _ in _SPECTRAL_PINS:
+        for value in _spectral_floats(cat.build(key, **params).spectral):
+            assert value != 0.0 or math.copysign(1.0, value) > 0.0, \
+                (key, params)
 
 
 # ---------------------------------------------------------------------------
