@@ -107,11 +107,9 @@ def _spectral(alpha, u0, Au0, k) -> SpectralData:
     """The spectral data of a wave with wavenumbers ``k`` riding the Killing
     field with chart components ``u0`` and inertia image ``Au0``.
 
-    Both fields translate the periodic axes, so on the phase e^{i k.x} the
-    brackets are multiplication: [u0, z] = i (u0.k) z and
-    [z, A u0] = -i (A u0.k) z = -i lam alpha z.  The integer dot products
-    make ``lam_exact`` a ``Fraction`` whenever alpha is an int or A u0.k
-    vanishes.
+    Both translate the periodic axes, so on the phase e^{i k.x} the brackets
+    are multiplication: [u0, z] = i (u0.k) z and [z, A u0] = -i (A u0.k) z.
+    ``lam_exact`` is a ``Fraction`` when alpha is an int or A u0.k = 0.
     """
     zeta = sum(a * b for a, b in zip(u0, k))
     coriolis = sum(a * b for a, b in zip(Au0, k))
@@ -298,12 +296,8 @@ def _separable(M: geo.ChartedManifold, k, profile):
 def _assemble(key: str, M: geo.ChartedManifold, params: dict, rho, sigma, *,
               alpha, u0, Au0, k, profile, stream=None, psi0=None,
               metadata=None) -> ExactSolution:
-    """The solution of one catalogue entry from its data: the base flow
-    ``u0`` and its image ``Au0`` as integer chart components, the integer
-    wavenumbers ``k`` and the coefficient ``profile`` of the wave (and on
-    surfaces of its ``stream``, with the base stream ``psi0``), and the
-    inertia eigenvalue ``alpha``.  ``params`` are the entry's parameters
-    before ``rho`` and ``sigma``."""
+    """The solution of one catalogue entry from its data (see the module
+    docstring); ``params`` are its parameters before ``rho`` and ``sigma``."""
     return ExactSolution(
         key=key, params={**params, "rho": rho, "sigma": sigma}, manifold=M,
         base_flow=constant_field(u0), base_image=constant_field(Au0),
@@ -421,9 +415,8 @@ def kelvin_hyperbolic(n: int = 1, m: int = 1, r_max: float = 1.0,
     m = _check_int("m", m)
     if m < 1:
         raise ConstructionError("kelvin-hyperbolic needs a radial index m >= 1")
-    nu = abs(n)
     try:
-        mode = sf.hyperbolic_radial_mode(nu, m, r_max=float(r_max))
+        mode = sf.hyperbolic_radial_mode(abs(n), m, r_max=float(r_max))
     except (solvers.SolverError, ValueError) as exc:
         raise ConstructionError(str(exc)) from exc
 

@@ -354,8 +354,7 @@ def fd_partial(f, t: float, pts: np.ndarray, axis: int, h: float):
 
 
 def _stencil(pts: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """The four shifted copies of ``pts`` along ``axis`` (+h, -h, +2h, -2h),
-    stacked into one (4N, dim) batch."""
+    """``fd_partial``'s (4N, dim) batch of shifted copies of ``pts``."""
     n = len(pts)
     q = np.tile(pts, (4, 1))
     q[:, axis] += np.repeat([h, -h, 2.0 * h, -2.0 * h], n)
@@ -363,8 +362,7 @@ def _stencil(pts: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _difference(vals: np.ndarray, h: float) -> np.ndarray:
-    """The 4th-order central difference from the values of a field on a
-    ``_stencil`` batch."""
+    """The central difference from a field's values on a ``_stencil``."""
     n = len(vals) // 4
     fp1, fm1, fp2, fm2 = (vals[k * n:(k + 1) * n] for k in range(4))
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
@@ -459,8 +457,7 @@ def _curl_jet(M: ChartedManifold, u, t: float, pts: np.ndarray,
 
 
 def _curl_form(d, sqrt_det: np.ndarray) -> np.ndarray:
-    """The contravariant curl from the partials ``d[j][:, k] = d_j u_k`` of
-    the lowered components and the volume density."""
+    """The curl from the partials ``d[j][:, k]`` of the lowered u_k."""
     c0 = (d[1][:, 2] - d[2][:, 1]) / sqrt_det
     c1 = (d[2][:, 0] - d[0][:, 2]) / sqrt_det
     c2 = (d[0][:, 1] - d[1][:, 0]) / sqrt_det

@@ -397,7 +397,8 @@ def test_annulus_wave_is_curl_eigenfield_and_tangent():
 def test_base_image_is_the_inertia_image_of_the_base(key):
     # zeta and lam are derived from the listed components of u0 and A u0, so
     # the listed A u0 is checked against the FD inertia operator: on
-    # surfaces sgrad psi0 = u0 and sgrad(lap psi0) = A u0, in 3D curl u0 = A u0
+    # surfaces sgrad psi0 = u0 and sgrad(lap psi0) = A u0 (the nested
+    # stencils reach 2.2e-7 on kelvin-hyperbolic), in 3D curl u0 = A u0
     sol = cat.build(key)
     M = sol.manifold
     pts = M.interior_grid((10,) * M.dim)
@@ -411,15 +412,15 @@ def test_base_image_is_the_inertia_image_of_the_base(key):
     else:
         routes = [(geo.curl3(M, sol.base_flow, 0.0, pts), Au0)]
     for route, listed in routes:
-        assert np.max(np.abs(route - listed)) < 1e-5
+        assert np.max(np.abs(route - listed)) < (1e-5 if M.dim == 2 else 1e-8)
 
 
 # repr of (alpha, zeta, lam, omega, lam_exact, omega_exact) and the class of
-# the seven defaults and twelve members, taken while each entry still wrote
-# its zeta and lam out by hand.  One value has moved since: kelvin-hyperbolic
-# at n = 0 had lam = omega = -0.0 (from -2.0 * n / E), and u0.k = A u0.k = 0
-# now give +0.0.  The low bits of numerically determined spectra follow
-# numpy and scipy, so elsewhere the floats are compared to 1e-12.
+# the seven defaults and twelve members, pinned so that a change that moves
+# one has to say so.  A zero frequency is +0.0 (kelvin-hyperbolic at n = 0
+# has u0.k = A u0.k = 0).  The low bits of numerically determined spectra
+# follow numpy and scipy, so with other versions the floats are compared
+# to 1e-12.
 _SPECTRAL_PIN_VERSIONS = ("2.4.6", "1.17.1")  # numpy, scipy
 _SPECTRAL_PINS = [
     ("ck-cylinder", {},
