@@ -350,20 +350,10 @@ def fd_partial(f, t: float, pts: np.ndarray, axis: int, h: float):
     sent to ``f`` in one call of 4N points, so a callable nested k stencils
     deep sees one call of 4^k N points per differentiated axis.
     """
-    return _difference(f(t, _stencil(pts, axis, h)), h)
-
-
-def _stencil(pts: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``fd_partial``'s (4N, dim) batch of shifted copies of ``pts``."""
     n = len(pts)
     q = np.tile(pts, (4, 1))
     q[:, axis] += np.repeat([h, -h, 2.0 * h, -2.0 * h], n)
-    return q
-
-
-def _difference(vals: np.ndarray, h: float) -> np.ndarray:
-    """The central difference from a field's values on a ``_stencil``."""
-    n = len(vals) // 4
+    vals = f(t, q)
     fp1, fm1, fp2, fm2 = (vals[k * n:(k + 1) * n] for k in range(4))
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
@@ -382,8 +372,8 @@ def field_jacobian(M: ChartedManifold, u, t: float, pts: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def skew_gradient_values(M: ChartedManifold, f, t: float, pts: np.ndarray,
-                         h_scale: float = 1.0) -> np.ndarray:
+def skew_gradient_values(M: ChartedManifold, f, t: float,
+                         pts: np.ndarray) -> np.ndarray:
     """2D skew gradient of a scalar callable:
 
         u = ( (1/sqrt(g)) d_2 f , -(1/sqrt(g)) d_1 f )
@@ -393,18 +383,18 @@ def skew_gradient_values(M: ChartedManifold, f, t: float, pts: np.ndarray,
     if M.dim != 2:
         raise ValueError("skew gradient is a 2D operation")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = M.fd_steps(h_scale)
+    h = M.fd_steps()
     d1 = fd_partial(f, t, pts, 0, h[0])
     d2 = fd_partial(f, t, pts, 1, h[1])
     rg = M.sqrt_det(pts)
     return np.stack([d2 / rg, -d1 / rg], axis=-1)
 
 
-def divergence_terms(M: ChartedManifold, u, t: float, pts: np.ndarray,
-                     h_scale: float = 1.0) -> np.ndarray:
+def divergence_terms(M: ChartedManifold, u, t: float,
+                     pts: np.ndarray) -> np.ndarray:
     """Per-axis flux terms (1/sqrt(g)) d_i ( sqrt(g) u^i ), shape (dim, N)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = M.fd_steps(h_scale)
+    h = M.fd_steps()
     sq = M.sqrt_det(pts)
 
     def weighted(i):
@@ -416,10 +406,9 @@ def divergence_terms(M: ChartedManifold, u, t: float, pts: np.ndarray,
                      for i in range(M.dim)])
 
 
-def divergence(M: ChartedManifold, u, t: float, pts: np.ndarray,
-               h_scale: float = 1.0) -> np.ndarray:
+def divergence(M: ChartedManifold, u, t: float, pts: np.ndarray) -> np.ndarray:
     """(1/sqrt(g)) d_i ( sqrt(g) u^i ), the sum of divergence_terms."""
-    return divergence_terms(M, u, t, pts, h_scale).sum(axis=0)
+    return divergence_terms(M, u, t, pts).sum(axis=0)
 
 
 def curl3(M: ChartedManifold, u, t: float, pts: np.ndarray,
@@ -443,17 +432,18 @@ def curl3(M: ChartedManifold, u, t: float, pts: np.ndarray,
 def _curl_jet(M: ChartedManifold, u, t: float, pts: np.ndarray,
               h_scale: float = 1.0) -> tuple:
     """``(curl3(u), field_jacobian(u))`` at ``pts``, bit for bit, from one
-    call of u per axis stencil: each stencil's values give both the partial
-    of u and the partial of its lowered components."""
+    ``fd_partial`` per axis of a field that returns u and its lowered
+    components side by side, so u is called once per axis stencil."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     h = M.fd_steps(h_scale)
-    du, dcov = [], []
-    for j in range(3):
-        q = _stencil(pts, j, h[j])
-        vals = np.asarray(u(t, q))
-        du.append(_difference(vals, h[j]))
-        dcov.append(_difference(M.lower(q, vals), h[j]))
-    return _curl_form(dcov, M.sqrt_det(pts)), np.stack(du, axis=-1)
+
+    def jet(tt, q):
+        vals = np.asarray(u(tt, q))
+        return np.concatenate([vals, M.lower(q, vals)], axis=1)
+
+    d = [fd_partial(jet, t, pts, j, h[j]) for j in range(3)]
+    return (_curl_form([dj[:, 3:] for dj in d], M.sqrt_det(pts)),
+            np.stack([dj[:, :3] for dj in d], axis=-1))
 
 
 def _curl_form(d, sqrt_det: np.ndarray) -> np.ndarray:
@@ -551,27 +541,24 @@ def _quadrature_rule(M: ChartedManifold, refine: int = 1):
     return cache[key]
 
 
-def inner_product_quadrature(M: ChartedManifold, u, v, t: float = 0.0,
+def inner_product_quadrature(M: ChartedManifold, u, t: float = 0.0,
                              refine: int = 1) -> float:
-    """L2 pairing  int g(u, v) dvol  over the whole chart.  When ``v is u``
-    the field is evaluated once."""
+    """The squared L2 norm  int g(u, u) dvol  over the whole chart."""
     nodes, weights = _quadrature_rule(M, refine)
     uv = np.asarray(u(t, nodes))
-    vv = uv if v is u else np.asarray(v(t, nodes))
-    integrand = np.einsum("ni,ni->n", uv, M.lower(nodes, vv))
+    integrand = np.einsum("ni,ni->n", uv, M.lower(nodes, uv))
     return float(np.sum(integrand * weights))
 
 
-def normal_component(M: ChartedManifold, u, t: float, face: BoundaryFace,
-                     pts: np.ndarray) -> np.ndarray:
-    """g(u, outward unit normal) sampled on a boundary face."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def normal_component(M: ChartedManifold, face: BoundaryFace, pts: np.ndarray,
+                     vals: np.ndarray) -> np.ndarray:
+    """g(u, outward unit normal) on a boundary face, from u's values there."""
     g = M.metric_entries(pts)
-    num = g.lower(np.asarray(u(t, pts)))[:, face.axis]
+    num = g.lower(np.asarray(vals))[:, face.axis]
     return face.outward * num / np.sqrt(g.diag[face.axis])
 
 
-def boundary_nodes(M: ChartedManifold, face: BoundaryFace, n: int = 64) -> np.ndarray:
+def boundary_nodes(M: ChartedManifold, face: BoundaryFace, n: int) -> np.ndarray:
     return _tensor_grid([np.array([face.value]) if axis == face.axis
                          else M.axis_nodes(axis, n) for axis in range(M.dim)])
 

@@ -12,8 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from eulerwaves import catalogue as cat
+from eulerwaves import geometry as geo
 from eulerwaves import solvers
 from eulerwaves import specfun as sf
+from eulerwaves import verification as ver
 
 _LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 
@@ -67,3 +70,26 @@ def test_recorder_counts_scan_and_bisection_by_position():
     assert rec.counts["scan_evals"] > 0
     assert rec.counts["bisect_evals"] > 0
     assert traced == untraced
+
+
+def test_recorder_sees_the_library_as_it_is():
+    # wrapping changes no byte of a report, and every stencil of the
+    # library goes through the wrapped fd_partial
+    layers = _load_layers()
+    sols = {key: cat.build(key) for key in ("ck-cylinder", "kelvin-disk")}
+    grids = {"ck-cylinder": (5, 5, 5), "kelvin-disk": (8, 8)}
+
+    def reports():
+        return [ver.run_verification(sol, grid=grids[key],
+                                     times=[0.7]).to_json_bytes()
+                for key, sol in sols.items()]
+
+    untraced = reports()
+    with layers.Recorder().installed():
+        assert reports() == untraced
+    sol = sols["ck-cylinder"]
+    pts = sol.manifold.interior_grid((3, 3, 3))
+    rec = layers.Recorder()
+    with rec.installed():
+        geo._curl_jet(sol.manifold, sol.wave, 0.0, pts)
+    assert rec.totals()["geometry.fd:calls"] == 3

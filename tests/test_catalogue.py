@@ -384,7 +384,7 @@ def test_annulus_wave_is_curl_eigenfield_and_tangent():
         assert np.max(np.abs(got - want)) < 1e-5 * np.max(np.abs(want))
     for face in M.boundaries:
         bpts = geo.boundary_nodes(M, face, 8)
-        nc = geo.normal_component(M, sol.velocity, 0.3, face, bpts)
+        nc = geo.normal_component(M, face, bpts, sol.velocity(0.3, bpts))
         assert np.max(np.abs(nc)) < 1e-8
 
 

@@ -456,29 +456,29 @@ def test_quadrature_closed_forms():
     # <d_x, d_x> over the square torus = (2 pi)^2.
     torus = geo.flat_torus()
     dx = constant_field((1.0, 0.0))
-    assert abs(geo.inner_product_quadrature(torus, dx, dx) - 4 * np.pi ** 2) < 1e-9
+    assert abs(geo.inner_product_quadrature(torus, dx) - 4 * np.pi ** 2) < 1e-9
 
     # <d_theta, d_theta> over the sphere = int sin^2 dvol = 8 pi / 3.
     sphere = geo.round_sphere()
     dth = constant_field((1.0, 0.0))
-    assert abs(geo.inner_product_quadrature(sphere, dth, dth) - 8 * np.pi / 3) < 1e-9
+    assert abs(geo.inner_product_quadrature(sphere, dth) - 8 * np.pi / 3) < 1e-9
 
     # <d_theta, d_theta> over the unit disk = int r^2 r dr dtheta = pi / 2.
     disk = geo.flat_disk()
     dthd = constant_field((0.0, 1.0))
-    assert abs(geo.inner_product_quadrature(disk, dthd, dthd) - np.pi / 2) < 1e-9
+    assert abs(geo.inner_product_quadrature(disk, dthd) - np.pi / 2) < 1e-9
 
     # Hopf field over the 3-sphere: unit length, so the pairing is vol = 2 pi^2.
     s3 = geo.three_sphere()
     hopf = constant_field((0.0, 1.0, 1.0))
-    assert abs(geo.inner_product_quadrature(s3, hopf, hopf) - 2 * np.pi ** 2) < 1e-8
+    assert abs(geo.inner_product_quadrature(s3, hopf) - 2 * np.pi ** 2) < 1e-8
 
     # Hyperbolic disk area = 2 pi (cosh(1) - 1) via <n, n> with the unit
     # radial field n = d_r.
     hyp = geo.hyperbolic_disk()
     dr = constant_field((1.0, 0.0))
     area = 2 * np.pi * (np.cosh(1.0) - 1.0)
-    assert abs(geo.inner_product_quadrature(hyp, dr, dr) - area) < 1e-9
+    assert abs(geo.inner_product_quadrature(hyp, dr) - area) < 1e-9
 
 
 def test_normal_component_disk():
@@ -486,10 +486,11 @@ def test_normal_component_disk():
     face = M.boundaries[0]
     pts = geo.boundary_nodes(M, face, 16)
     u = constant_field((1.0, 0.5))
-    nc = geo.normal_component(M, u, 0.0, face, pts)
+    nc = geo.normal_component(M, face, pts, u(0.0, pts))
     assert np.max(np.abs(nc - 1.0)) < 1e-12
     rot = constant_field((0.0, 1.0))
-    assert np.max(np.abs(geo.normal_component(M, rot, 0.0, face, pts))) < 1e-12
+    nc = geo.normal_component(M, face, pts, rot(0.0, pts))
+    assert np.max(np.abs(nc)) < 1e-12
 
 
 def test_interior_grid_respects_margins():
