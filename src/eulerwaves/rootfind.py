@@ -111,15 +111,18 @@ def collocate(solve):
 
     solve(N) returns (eigenvalue, columns), each column the values of one
     profile at the points of cheb(N), or raises SolverError when N holds too
-    few modes.  A column is resolved when its last four Chebyshev
-    coefficients are below 1e-13 max|c| (four, because a series of one
-    parity has every other coefficient zero); it is then chopped after its
-    last coefficient above that level.  Returns the eigenvalue and the
-    chopped coefficients of each column.
+    few modes; a floating-point error in solve(N) is a SolverError at once.
+    A column is resolved when its last four Chebyshev coefficients are below
+    1e-13 max|c| (four, because a series of one parity has every other
+    coefficient zero); it is then chopped after its last coefficient above
+    that level.  Returns the eigenvalue and the chopped coefficients.
     """
     for N in _SIZES:
         try:
-            value, columns = solve(N)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value, columns = solve(N)
+        except FloatingPointError as exc:
+            raise SolverError(f"collocation at N = {N}: {exc}") from None
         except SolverError as exc:
             failure = exc
             continue

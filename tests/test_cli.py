@@ -196,6 +196,23 @@ def test_verify_overflow_exits_2_without_warnings(capsys):
         assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "kelvin-hyperbolic", "--r_max", "1e-160"],
+    ["verify", "twisted-annulus", "--r_lo", "1e-300"],
+    ["verify", "twisted-annulus", "--r_lo", "1", "--r_hi", "1e300"],
+    ["eigen", "cmetric", "--n", "1", "--m", "1", "--c", "0.1",
+     "--a", "1e-300", "--b", "1"],
+])
+def test_extreme_radii_exit_2_with_one_line(capsys, argv):
+    # the collocation pencil overflows or divides by zero: one error line,
+    # no numpy warnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "collocation at N = 33: " in err
+
+
 def test_verify_without_a_wave_exits_0(capsys):
     # rho = 0 is the steady base flow: every row, stationarity included,
     # must pass

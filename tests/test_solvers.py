@@ -64,6 +64,24 @@ def test_collocate_chops_resolved_series_and_rejects_unresolved():
     assert sizes == [33, 65, 129]
 
 
+def test_collocate_turns_floating_point_errors_into_solver_errors():
+    # extreme radii overflow or divide by zero while the pencil is built;
+    # that is one SolverError (ConstructionError from a builder), not a
+    # numpy warning, even when RuntimeWarning is an error
+    def overflow(N):
+        return 1.0, [np.exp(1e3 * rootfind.cheb(N)[0])]
+
+    with pytest.raises(SolverError, match="at N = 33: overflow"):
+        rootfind.collocate(overflow)
+    with pytest.raises(cat.ConstructionError, match="collocation"):
+        cat.kelvin_hyperbolic(r_max=1e-160)
+    for r_lo, r_hi in [(1e-300, 2.0 * np.pi), (1.0, 1e300)]:
+        with pytest.raises(cat.ConstructionError, match="collocation"):
+            cat.twisted_annulus(r_lo=r_lo, r_hi=r_hi)
+    with pytest.raises(SolverError, match="collocation"):
+        sv.solve_cmetric_mode(0.1, 1e-300, 1.0, n=1, m=1)
+
+
 def test_cheb_differentiates_polynomials_exactly():
     x, D = rootfind.cheb(9)
     assert x[0] == 1.0 and x[-1] == -1.0 and np.all(x[:5] == -x[:4:-1])
